@@ -35,6 +35,7 @@ from .forward import (
     simulate_measurements,
 )
 from .solver import (
+    DivergenceError,
     IterationRecord,
     MinibatchComposition,
     SolveReport,

@@ -117,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phantom", required=True, help="points:k | bar | cross | file:path")
     p.add_argument("--noise", type=float, default=0.0, help="complex noise std per channel")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output measurement file")
     p.set_defaults(handler=_cmd_simulate)
 
@@ -132,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--time-budget-s", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--allow-fingerprint-mismatch", action="store_true")
     p.add_argument("--out", required=True, help="output volume file")
     p.add_argument("--report", default=None, help="optional JSON solve report path")
@@ -154,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=4e-5)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=_cmd_benchmark)
 
@@ -238,9 +235,7 @@ def _truth_path(out: str) -> Path:
 def _cmd_simulate(args) -> int:
     scenario = read_scenario(args.scenario)
     phantom = make_phantom(args.phantom, scenario.voxels, rng_seed=args.seed)
-    measurements = simulate_measurements(
-        phantom, scenario, noise_sigma=args.noise, rng_seed=args.seed, threads=args.threads
-    )
+    measurements = simulate_measurements(phantom, scenario, noise_sigma=args.noise, rng_seed=args.seed)
     write_measurements(measurements, args.out)
     truth = _truth_path(args.out)
     write_volume(phantom, truth)
@@ -267,7 +262,6 @@ def _cmd_reconstruct(args) -> int:
         rng_seed=args.seed,
         composition=composition,
         time_budget_s=args.time_budget_s,
-        threads=args.threads,
     )
     y = measurements.values  # fingerprint already enforced at load
     if args.method == "pgm":
@@ -313,9 +307,7 @@ def _cmd_benchmark(args) -> int:
     measurements = read_measurements(args.measurements, scenario=scenario)
     compositions = [MinibatchComposition(*c) for c in args.compositions]
     base = SolverConfig(eta=args.eta, alpha=args.alpha, tol=args.tol, max_iters=args.max_iters)
-    records = run_sweep(
-        measurements.values, scenario, base, compositions, args.seeds, threads=args.threads
-    )
+    records = run_sweep(measurements.values, scenario, base, compositions, args.seeds)
     write_sweep_csv(records, args.out)
     print(f"{'composition':>14} {'B':>6} {'seed':>6} {'iters':>6} {'runtime_s':>10} {'psnr_db':>9}")
     for rec in records:

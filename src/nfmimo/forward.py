@@ -93,6 +93,8 @@ class MeasurementSet:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim != 1:
             raise ValueError(f"measurement values must be 1-D, got shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("measurement values must be finite")
         self.values = vals
         if len(self.fingerprint) != 32:
             raise ValueError("fingerprint must be 32 bytes")
@@ -343,7 +345,9 @@ def forward_apply(s, scenario: ImagingScenario, subset=None, threads: int = 1) -
     """Apply the observation operator: entry k is sum_n A[m_k, n] * s_n.
 
     ``subset`` restricts to the given flat channels (None means all M); the
-    restricted result is bit-identical to slicing the full result.
+    restricted result is bit-identical to slicing the full result. ``threads``
+    spreads the channel groups over a thread pool; the result does not
+    depend on it.
     """
     values = _volume_values(s, scenario)
     idx = _subset_indices(subset, scenario)
@@ -364,7 +368,6 @@ def simulate_measurements(
     scenario: ImagingScenario,
     noise_sigma: float = 0.0,
     rng_seed: int = 0,
-    threads: int = 1,
 ) -> MeasurementSet:
     """Noisy measurements y = A s + w.
 
@@ -375,7 +378,7 @@ def simulate_measurements(
     sigma = float(noise_sigma)
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    y = forward_apply(s, scenario, threads=threads)
+    y = forward_apply(s, scenario)
     if sigma > 0:
         rng = np.random.default_rng(rng_seed)
         m = scenario.n_channels

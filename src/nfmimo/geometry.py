@@ -1,8 +1,8 @@
 """Antenna arrays, frequency grids, voxel grids, and the index maps between
 flat measurement/voxel numbering and structured coordinates.
 
-All types here are immutable after construction and safe to share across
-threads. Distances are meters, frequencies Hz.
+All types here are immutable after construction, so they are safe to share.
+Distances are meters, frequencies Hz.
 """
 
 from __future__ import annotations
@@ -257,6 +257,8 @@ class TabulatedPulse:
             raise ValueError("tabulated pulse needs at least one knot")
         if any(not math.isfinite(f) for f in fr):
             raise ValueError("pulse knot frequencies must be finite")
+        if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in vals):
+            raise ValueError("pulse values must be finite")
         if any(b <= a for a, b in zip(fr, fr[1:])):
             raise ValueError("pulse knot frequencies must be strictly increasing")
 

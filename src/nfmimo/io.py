@@ -9,8 +9,8 @@ Binary layout (all little-endian):
                M complex float64 pairs in flat channel order | u64 checksum
 
 The checksum is the sum of the payload bytes modulo 2^64. Readers validate
-lengths before touching the payload, so corrupt or truncated files raise a
-FormatError subclass instead of crashing.
+lengths before touching the payload and reject non-finite payload values, so
+corrupt or truncated files raise a FormatError subclass instead of crashing.
 """
 
 from __future__ import annotations
@@ -109,7 +109,10 @@ def _split_file(data: bytes, header_size: int, count: int, what: str):
     (stored,) = _CHECKSUM.unpack_from(data, header_size + 16 * count)
     if stored != _checksum(payload):
         raise ChecksumError(f"{what} payload checksum mismatch")
-    return np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{what} payload holds non-finite values")
+    return values
 
 
 def _check_header(data: bytes, magic: bytes, header_size: int, what: str) -> None:

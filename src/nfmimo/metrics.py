@@ -88,7 +88,6 @@ def run_sweep(
     base_config: SolverConfig,
     compositions: list[MinibatchComposition],
     seeds: list[int],
-    threads: int = 1,
 ) -> list[SweepRecord]:
     """Run SPGM for every (composition, seed) pair and score each against a
     single full-batch PGM reference solved once with the same hyperparameters.
@@ -101,12 +100,10 @@ def run_sweep(
     records: list[SweepRecord] = []
     if not compositions or not seeds:
         return records
-    reference = pgm_solve(
-        y, scenario, replace(base_config, composition=None, threads=threads)
-    ).volume
+    reference = pgm_solve(y, scenario, replace(base_config, composition=None)).volume
     for comp in compositions:
         for seed in seeds:
-            cfg = replace(base_config, composition=comp, rng_seed=seed, threads=threads)
+            cfg = replace(base_config, composition=comp, rng_seed=seed)
             report = spgm_solve(y, scenario, cfg)
             quality = psnr_vs_reference(report.volume, reference)
             records.append(

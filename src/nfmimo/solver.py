@@ -29,12 +29,14 @@ from .forward import (
     ChannelSubset,
     MeasurementSet,
     ReflectivityVolume,
+    _subset_indices,
     adjoint_apply,
     forward_apply,
 )
 from .geometry import ImagingScenario
 
 __all__ = [
+    "DivergenceError",
     "MinibatchComposition",
     "SolverConfig",
     "IterationRecord",
@@ -56,6 +58,18 @@ TERMINATION_MAX_ITERS = "max_iters"
 TERMINATION_TIME_BUDGET = "time_budget"
 
 _ZERO_NORM_GUARD = 1e-12
+
+
+class DivergenceError(ValueError):
+    """The iterate stopped being finite: the step size is too large."""
+
+    def __init__(self, iteration: int, eta: float):
+        super().__init__(
+            f"solve diverged at iteration {iteration}: the magnitude change is "
+            f"not finite with eta={eta:g}; use a smaller step size"
+        )
+        self.iteration = iteration
+        self.eta = eta
 
 
 @dataclass(frozen=True)
@@ -110,7 +124,6 @@ class SolverConfig:
     rng_seed: int = 0
     composition: MinibatchComposition | None = None
     time_budget_s: float | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
@@ -124,8 +137,6 @@ class SolverConfig:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.time_budget_s is not None and not self.time_budget_s > 0:
             raise ValueError(f"time_budget_s must be > 0, got {self.time_budget_s}")
-        if int(self.threads) < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -158,39 +169,33 @@ def _measurement_values(y, scenario: ImagingScenario) -> np.ndarray:
         raise ValueError(
             f"expected {scenario.n_channels} measurements, got shape {vals.shape}"
         )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("measurement values must be finite")
     return vals
 
 
-def _subset_or_all(subset, scenario: ImagingScenario) -> np.ndarray:
-    if subset is None:
-        return np.arange(scenario.n_channels, dtype=np.int64)
-    if isinstance(subset, ChannelSubset):
-        return subset.indices
-    return ChannelSubset(np.asarray(subset)).indices
-
-
-def data_fidelity(s, y, scenario: ImagingScenario, subset=None, threads: int = 1) -> float:
+def data_fidelity(s, y, scenario: ImagingScenario, subset=None) -> float:
     """Mean squared residual over the selected channels: (1/B) sum of
     half squared residual magnitudes (B = M when subset is None)."""
     yv = _measurement_values(y, scenario)
-    idx = _subset_or_all(subset, scenario)
-    resid = forward_apply(s, scenario, subset=idx, threads=threads) - yv[idx]
+    idx = _subset_indices(subset, scenario)
+    resid = forward_apply(s, scenario, subset=idx) - yv[idx]
     return 0.5 * float(np.mean(np.abs(resid) ** 2))
 
 
-def _gradient(s, yv: np.ndarray, scenario: ImagingScenario, idx: np.ndarray, threads: int) -> np.ndarray:
-    resid = forward_apply(s, scenario, subset=idx, threads=threads) - yv[idx]
-    return adjoint_apply(resid, scenario, subset=idx, threads=threads) / idx.size
+def _gradient(s, yv: np.ndarray, scenario: ImagingScenario, idx: np.ndarray) -> np.ndarray:
+    resid = forward_apply(s, scenario, subset=idx) - yv[idx]
+    return adjoint_apply(resid, scenario, subset=idx) / idx.size
 
 
-def full_gradient(s, y, scenario: ImagingScenario, threads: int = 1) -> np.ndarray:
+def full_gradient(s, y, scenario: ImagingScenario) -> np.ndarray:
     """Conjugate gradient of the data fidelity: (1/M) A^H (A s - y)."""
     yv = _measurement_values(y, scenario)
     idx = np.arange(scenario.n_channels, dtype=np.int64)
-    return _gradient(s, yv, scenario, idx, threads)
+    return _gradient(s, yv, scenario, idx)
 
 
-def minibatch_gradient(s, y, scenario: ImagingScenario, subset, threads: int = 1) -> np.ndarray:
+def minibatch_gradient(s, y, scenario: ImagingScenario, subset) -> np.ndarray:
     """Minibatch gradient estimate (1/B) A_sub^H (A_sub s - y_sub).
 
     With the full channel set this reduces bit-for-bit to full_gradient
@@ -199,8 +204,8 @@ def minibatch_gradient(s, y, scenario: ImagingScenario, subset, threads: int = 1
     if subset is None:
         raise ValueError("minibatch_gradient requires a non-empty channel subset")
     yv = _measurement_values(y, scenario)
-    idx = _subset_or_all(subset, scenario)
-    return _gradient(s, yv, scenario, idx, threads)
+    idx = _subset_indices(subset, scenario)
+    return _gradient(s, yv, scenario, idx)
 
 
 def sample_minibatch(
@@ -260,16 +265,12 @@ def _solve(
     y,
     scenario: ImagingScenario,
     config: SolverConfig,
-    initial,
     progress,
     stochastic: bool,
 ) -> SolveReport:
     yv = _measurement_values(y, scenario)
     m = scenario.n_channels
-    if initial is None:
-        s = np.zeros(scenario.n_voxels, dtype=np.complex128)
-    else:
-        s = np.array(_volume_like(initial, scenario), dtype=np.complex128)
+    s = np.zeros(scenario.n_voxels, dtype=np.complex128)
 
     rng = np.random.default_rng(config.rng_seed)
     full_idx = np.arange(m, dtype=np.int64)
@@ -284,9 +285,11 @@ def _solve(
             idx = sample_minibatch(config.composition, scenario, rng).indices
         else:
             idx = full_idx
-        g = _gradient(s, yv, scenario, idx, config.threads)
+        g = _gradient(s, yv, scenario, idx)
         s_next = soft_threshold(s - config.eta * g, config.alpha)
         change = relative_magnitude_change(s, s_next)
+        if not math.isfinite(change):
+            raise DivergenceError(k, config.eta)
         records.append(
             IterationRecord(
                 iter=k,
@@ -318,22 +321,10 @@ def _solve(
     )
 
 
-def _volume_like(s, scenario: ImagingScenario) -> np.ndarray:
-    if isinstance(s, ReflectivityVolume):
-        if s.grid != scenario.voxels:
-            raise ValueError("initial volume grid does not match the scenario")
-        return s.values
-    vals = np.asarray(s, dtype=np.complex128)
-    if vals.shape != (scenario.n_voxels,):
-        raise ValueError(f"expected {scenario.n_voxels} initial values")
-    return vals
-
-
 def pgm_solve(
     y,
     scenario: ImagingScenario,
     config: SolverConfig | None = None,
-    initial=None,
     progress=None,
 ) -> SolveReport:
     """Full-batch proximal gradient iterations
@@ -343,14 +334,13 @@ def pgm_solve(
         raise ValueError(
             "pgm_solve needs a full-batch config; use spgm_solve for minibatches"
         )
-    return _solve(y, scenario, config, initial, progress, stochastic=False)
+    return _solve(y, scenario, config, progress, stochastic=False)
 
 
 def spgm_solve(
     y,
     scenario: ImagingScenario,
     config: SolverConfig | None = None,
-    initial=None,
     progress=None,
 ) -> SolveReport:
     """Stochastic PGM: a fresh structured minibatch per iteration.
@@ -362,7 +352,7 @@ def spgm_solve(
     if config.composition is None:
         raise ValueError("spgm_solve requires config.composition")
     config.composition.validate_for(scenario)
-    return _solve(y, scenario, config, initial, progress, stochastic=True)
+    return _solve(y, scenario, config, progress, stochastic=True)
 
 
 def lipschitz_estimate(
@@ -370,7 +360,6 @@ def lipschitz_estimate(
     n_iters: int = 50,
     rng_seed: int = 0,
     tol: float = 1e-9,
-    threads: int = 1,
 ) -> float:
     """Largest eigenvalue of (1/M) A^H A by power iteration.
 
@@ -384,7 +373,7 @@ def lipschitz_estimate(
     x /= np.linalg.norm(x)
     lam = 0.0
     for _ in range(n_iters):
-        z = adjoint_apply(forward_apply(x, scenario, threads=threads), scenario, threads=threads) / m
+        z = adjoint_apply(forward_apply(x, scenario), scenario) / m
         lam_new = float(np.real(np.vdot(x, z)))
         nz = np.linalg.norm(z)
         if nz == 0.0:

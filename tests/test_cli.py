@@ -1,9 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from nfmimo import forward_apply
+from nfmimo import forward_apply, lipschitz_estimate
 from nfmimo.cli import main
 from nfmimo.io import read_measurements, read_scenario, read_volume
 
@@ -317,7 +318,93 @@ class TestBenchmark:
         assert cols[0] == cols[1]
 
 
+NFMS_HEADER = struct.calcsize("<4sHI32s")
+NFMV_HEADER = struct.calcsize("<4sHIII")
+
+
+def _with_payload(blob: bytes, header_size: int, values) -> bytes:
+    """The file ``blob`` with its payload replaced by ``values`` and a
+    matching byte-sum checksum."""
+    payload = b"".join(struct.pack("<dd", v.real, v.imag) for v in values)
+    assert len(payload) == len(blob) - header_size - 8
+    return blob[:header_size] + payload + struct.pack("<Q", sum(payload))
+
+
+class TestNonFiniteInput:
+    def test_nan_measurements_exit_one(self, small_files, tmp_path, capsys):
+        blob = small_files["measurements"].read_bytes()
+        values = [1 + 0j] * ((len(blob) - NFMS_HEADER - 8) // 16)
+        values[0] = complex(float("nan"), 0.0)
+        bad = tmp_path / "nan.nfms"
+        bad.write_bytes(_with_payload(blob, NFMS_HEADER, values))
+        code = main(
+            ["reconstruct", "--scenario", str(small_files["scenario"]),
+             "--measurements", str(bad), "--method", "pgm", "--out", str(tmp_path / "x.nfmv")]
+        )
+        assert code == 1
+        assert "measurement payload holds non-finite values" in capsys.readouterr().err
+
+    def test_nan_volume_exit_one(self, small_files, tmp_path, capsys):
+        blob = small_files["truth"].read_bytes()
+        values = [1 + 0j] * ((len(blob) - NFMV_HEADER - 8) // 16)
+        values[-1] = complex(0.0, float("inf"))
+        bad = tmp_path / "nan.nfmv"
+        bad.write_bytes(_with_payload(blob, NFMV_HEADER, values))
+        code = main(["psnr", "--recon", str(bad), "--reference", str(small_files["truth"])])
+        assert code == 1
+        assert "volume payload holds non-finite values" in capsys.readouterr().err
+
+    def test_nan_pulse_scenario_exit_one(self, small_files, tmp_path, capsys):
+        doc = json.loads(small_files["scenario"].read_text())
+        doc["pulse"] = {
+            "mode": "tabulated",
+            "frequencies_hz": [1e9, 2e10],
+            "values": [[1.0, 0.0], [float("nan"), 0.0]],
+        }
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["info", "--scenario", str(bad)]) == 1
+        assert "pulse values must be finite" in capsys.readouterr().err
+
+
+class TestDivergence:
+    def test_exit_one_names_iteration(self, tmp_path, capsys):
+        scn = tmp_path / "scn.json"
+        meas = tmp_path / "meas.nfms"
+        assert main(
+            ["scenario-init", "--custom", "--tx", "2", "--rx", "2", "--f-count", "2",
+             "--extent", "0.02,0.02,0", "--dims", "3,4,1", "--out", str(scn)]
+        ) == 0
+        assert main(
+            ["simulate", "--scenario", str(scn), "--phantom", "points:2", "--seed", "1",
+             "--out", str(meas)]
+        ) == 0
+        eta = 100.0 / lipschitz_estimate(read_scenario(scn), n_iters=500, tol=1e-13)
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(
+                ["reconstruct", "--scenario", str(scn), "--measurements", str(meas),
+                 "--method", "pgm", "--eta", repr(eta), "--alpha", "0", "--max-iters", "3000",
+                 "--out", str(tmp_path / "x.nfmv")]
+            )
+        assert code == 1
+        assert "diverged at iteration 78" in capsys.readouterr().err
+        assert not (tmp_path / "x.nfmv").exists()
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "benchmark"])
+    def test_threads_flag_is_gone(self, small_files, tmp_path, command):
+        common = ["--scenario", str(small_files["scenario"]), "--out", str(tmp_path / "x")]
+        extra = {
+            "simulate": ["--phantom", "points:1"],
+            "reconstruct": ["--measurements", str(small_files["measurements"]), "--method", "pgm"],
+            "benchmark": ["--measurements", str(small_files["measurements"]),
+                          "--compositions", "1,1,1", "--seeds", "0"],
+        }[command]
+        assert main([command, *common, *extra]) == 0
+        assert main([command, *common, *extra, "--threads", "1"]) == 2
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
 

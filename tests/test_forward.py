@@ -16,9 +16,11 @@ from nfmimo import (
     VoxelGrid,
     adjoint_apply,
     channel_of,
+    data_fidelity,
     forward_apply,
     materialize_dense,
     matrix_element,
+    minibatch_gradient,
     simulate_measurements,
 )
 from conftest import oracle_dense_matrix, random_complex
@@ -241,6 +243,32 @@ class TestChannelSubset:
                 subset=ChannelSubset(np.array([tiny_scenario.n_channels])),
             )
 
+    @pytest.mark.parametrize(
+        "indices, error",
+        [
+            ([], ValueError),
+            ([-1, 0], ValueError),
+            ([1, 2, 1], ValueError),
+            ([8], IndexError),  # tiny_scenario has 8 channels
+        ],
+        ids=["empty", "negative", "duplicate", "out-of-range"],
+    )
+    @pytest.mark.parametrize(
+        "consumer",
+        [
+            lambda s, y, scn, sub: forward_apply(s, scn, subset=sub),
+            lambda s, y, scn, sub: data_fidelity(s, y, scn, subset=sub),
+            lambda s, y, scn, sub: minibatch_gradient(s, y, scn, sub),
+        ],
+        ids=["forward_apply", "data_fidelity", "minibatch_gradient"],
+    )
+    def test_bad_subset_rejected_alike(self, tiny_scenario, indices, error, consumer):
+        s = np.zeros(tiny_scenario.n_voxels, dtype=complex)
+        y = np.zeros(tiny_scenario.n_channels, dtype=complex)
+        with pytest.raises(error) as excinfo:
+            consumer(s, y, tiny_scenario, np.array(indices, dtype=int))
+        assert excinfo.type is error
+
     def test_preserves_order(self):
         sub = ChannelSubset(np.array([5, 1, 3]))
         assert sub.indices.tolist() == [5, 1, 3]
@@ -298,6 +326,11 @@ class TestDomainTypes:
     def test_measurement_set_validation(self, tiny_scenario):
         with pytest.raises(ValueError, match="fingerprint"):
             MeasurementSet(np.zeros(4, dtype=complex), b"short")
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            vals = np.zeros(tiny_scenario.n_channels, dtype=complex)
+            vals[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                MeasurementSet.for_scenario(vals, tiny_scenario)
         with pytest.raises(ValueError, match="noise_sigma"):
             MeasurementSet(np.zeros(4, dtype=complex), bytes(32), noise_sigma=-2.0)
 

@@ -198,6 +198,11 @@ class TestPulseSpectrum:
         with pytest.raises(ValueError):
             TabulatedPulse(frequencies_hz=(2e9, 1e9), values=(1 + 0j, 1 + 0j))
 
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)])
+    def test_tabulated_values_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedPulse(frequencies_hz=(1e9, 3e9), values=(1 + 0j, bad))
+
     def test_scenario_rejects_uncovered_band(self):
         pulse = TabulatedPulse(frequencies_hz=(5e9, 6e9), values=(1 + 0j, 1 + 0j))
         with pytest.raises(ValueError, match="cover"):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -129,6 +130,58 @@ class TestMeasurementFile:
             read_measurements(path)
 
 
+def _nfmv_bytes(payload: bytes, dims: tuple[int, int, int]) -> bytes:
+    """NFMV file assembled field by field, with a valid byte-sum checksum."""
+    return struct.pack("<4sHIII", b"NFMV", 1, *dims) + payload + struct.pack("<Q", sum(payload))
+
+
+def _nfms_bytes(payload: bytes, fingerprint: bytes) -> bytes:
+    count = len(payload) // 16
+    return (
+        struct.pack("<4sHI32s", b"NFMS", 1, count, fingerprint)
+        + payload
+        + struct.pack("<Q", sum(payload))
+    )
+
+
+def _payload(values) -> bytes:
+    return b"".join(struct.pack("<dd", v.real, v.imag) for v in values)
+
+
+class TestNonFinitePayload:
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 0)])
+    def test_volume_rejected(self, tmp_path, bad):
+        path = tmp_path / "v.nfmv"
+        path.write_bytes(_nfmv_bytes(_payload([1 + 0j, bad, 0j, 2j]), (2, 2, 1)))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_volume(path)
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 0)])
+    def test_measurements_rejected(self, small_scenario, tmp_path, bad):
+        values = [1 + 0j] * small_scenario.n_channels
+        values[3] = bad
+        path = tmp_path / "m.nfms"
+        path.write_bytes(_nfms_bytes(_payload(values), scenario_fingerprint(small_scenario)))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_measurements(path)
+        with pytest.raises(FormatError, match="non-finite"):
+            read_measurements(path, scenario=small_scenario)
+
+    def test_byte_swap_to_nan_survives_checksum_but_is_rejected(self, tmp_path):
+        # bytes ...7F F8 little-endian are a finite double (about -1e272);
+        # swapping the top two bytes gives ...F8 7F, a quiet NaN, with the
+        # same byte sum
+        finite = struct.unpack("<d", bytes(6) + b"\x7f\xf8")[0]
+        payload = bytearray(_payload([complex(finite, 0.0), 1j]))
+        path = tmp_path / "v.nfmv"
+        path.write_bytes(_nfmv_bytes(bytes(payload), (2, 1, 1)))
+        assert read_volume(path).values[0] == finite
+        payload[6], payload[7] = payload[7], payload[6]
+        path.write_bytes(_nfmv_bytes(bytes(payload), (2, 1, 1)))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_volume(path)
+
+
 class TestFuzzing:
     def test_mutated_files_error_instead_of_crashing(self, volume, small_scenario, rng, tmp_path):
         vol_path = tmp_path / "v.nfmv"
@@ -182,6 +235,21 @@ class TestFuzzing:
             read_volume(target)
 
 
+def _tabulated_scenario():
+    from nfmimo import ArrayGeometry, FrequencyGrid, ImagingScenario, TabulatedPulse
+
+    return ImagingScenario(
+        array=ArrayGeometry(
+            transmitters=(Vec3(0.02, 0, 0),), receivers=(Vec3(-0.02, 0, 0),)
+        ),
+        frequencies=FrequencyGrid(2e9, 3e9, 2),
+        voxels=VoxelGrid(center=Vec3(0, 0, 0.2), extent=(0, 0, 0), dims=(1, 1, 1)),
+        pulse=TabulatedPulse(
+            frequencies_hz=(1e9, 2.5e9, 4e9), values=(1 + 0j, 0.5 - 0.25j, 0.1 + 0j)
+        ),
+    )
+
+
 class TestScenarioJson:
     def test_round_trip_preserves_fingerprint(self, tmp_path):
         scn = preset_scenario("paper-v")
@@ -232,19 +300,18 @@ class TestScenarioJson:
         with pytest.raises(SchemaError):
             read_scenario(path)
 
-    def test_tabulated_pulse_round_trip(self, tmp_path):
-        from nfmimo import ArrayGeometry, FrequencyGrid, ImagingScenario, TabulatedPulse
+    def test_nan_pulse_value_is_schema_error(self, tmp_path):
+        path = tmp_path / "scn.json"
+        write_scenario(_tabulated_scenario(), path)
+        doc = json.loads(path.read_text())
+        doc["pulse"]["values"][1] = [float("nan"), 0.0]
+        path.write_text(json.dumps(doc))  # the bare NaN literal that json.loads accepts
+        assert "NaN" in path.read_text()
+        with pytest.raises(SchemaError, match="finite"):
+            read_scenario(path)
 
-        scn = ImagingScenario(
-            array=ArrayGeometry(
-                transmitters=(Vec3(0.02, 0, 0),), receivers=(Vec3(-0.02, 0, 0),)
-            ),
-            frequencies=FrequencyGrid(2e9, 3e9, 2),
-            voxels=VoxelGrid(center=Vec3(0, 0, 0.2), extent=(0, 0, 0), dims=(1, 1, 1)),
-            pulse=TabulatedPulse(
-                frequencies_hz=(1e9, 2.5e9, 4e9), values=(1 + 0j, 0.5 - 0.25j, 0.1 + 0j)
-            ),
-        )
+    def test_tabulated_pulse_round_trip(self, tmp_path):
+        scn = _tabulated_scenario()
         path = tmp_path / "scn.json"
         write_scenario(scn, path)
         assert read_scenario(path) == scn

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfmimo import (
+    DivergenceError,
     MinibatchComposition,
     SolverConfig,
     check_termination,
@@ -11,6 +12,8 @@ from nfmimo import (
     forward_apply,
     full_gradient,
     lipschitz_estimate,
+    make_phantom,
+    make_spiral_array,
     materialize_dense,
     matrix_element,
     minibatch_gradient,
@@ -23,6 +26,7 @@ from nfmimo import (
 )
 from nfmimo.geometry import (
     ArrayGeometry,
+    ConstantPulse,
     FrequencyGrid,
     ImagingScenario,
     Vec3,
@@ -251,6 +255,29 @@ class TestTermination:
         assert relative_magnitude_change(prev, nxt) == pytest.approx(0.1, rel=1e-12)
 
 
+class TestDivergence:
+    def test_pgm_stops_at_first_non_finite_change(self):
+        # 12 voxels solved with eta = 100/L, far past the stability limit 2/L
+        scn = ImagingScenario(
+            array=make_spiral_array(2, 2, 0.25, rng_seed=7),
+            frequencies=FrequencyGrid(4e9, 16e9, 2),
+            voxels=VoxelGrid(center=Vec3(0, 0, 0.5), extent=(0.02, 0.02, 0.0), dims=(3, 4, 1)),
+            pulse=ConstantPulse(1.0 + 0.0j),
+        )
+        y = simulate_measurements(make_phantom("points:2", scn.voxels, rng_seed=1), scn)
+        eta = 100.0 / lipschitz_estimate(scn, n_iters=500, tol=1e-13)
+        seen = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=f"iteration 78\\b.*eta={eta:g}") as exc:
+                pgm_solve(
+                    y, scn, SolverConfig(eta=eta, alpha=0.0, max_iters=3000),
+                    progress=lambda k, s: seen.append(k),
+                )
+        assert exc.value.iteration == 78
+        assert exc.value.eta == eta
+        assert seen == list(range(1, 78))
+
+
 class TestPgmSolve:
     def test_zero_measurements_fixed_point(self, small_scenario):
         y = np.zeros(small_scenario.n_channels, dtype=complex)
@@ -309,6 +336,12 @@ class TestPgmSolve:
         assert report.termination == "max_iters"
         assert report.iterations == 3
         assert len(report.per_iteration) == 3
+
+    def test_non_finite_measurement_array_rejected(self, small_scenario):
+        y = np.ones(small_scenario.n_channels, dtype=complex)
+        y[2] = np.nan
+        with pytest.raises(ValueError, match="measurement values must be finite"):
+            pgm_solve(y, small_scenario, SolverConfig(max_iters=2))
 
     def test_fingerprint_checked_for_measurement_sets(self, small_scenario, tiny_scenario, rng):
         mset = simulate_measurements(
@@ -375,7 +408,6 @@ class TestSolverConfig:
             {"max_iters": 0},
             {"tol": 0.0},
             {"time_budget_s": 0.0},
-            {"threads": 0},
         ],
     )
     def test_invalid_configs(self, kwargs):
