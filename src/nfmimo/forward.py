@@ -16,8 +16,12 @@ elementwise product plus one length-N dot per channel.
 
 Subset applications reuse the exact same cached rows and the same per-channel
 reduction as the full application, so restricting to a subset is bit-exact.
-The adjoint accumulates per-frequency partial sums and reduces them in fixed
-frequency order, which makes it independent of the worker-thread count.
+The adjoint runs over tiles of a few thousand voxels, one task each. Per
+frequency, a (touched Tx) x (touched Rx) matrix of residual coefficients,
+zero where a pair is absent, multiplies the tile's receiver rows, and the
+transmitter rows reduce the product; no whole table row is copied. Each voxel
+is summed by one task in ascending frequency order, so the adjoint is
+bit-identical for every worker-thread count.
 """
 
 from __future__ import annotations
@@ -226,9 +230,10 @@ def _volume_values(s, scenario: ImagingScenario) -> np.ndarray:
     return vals
 
 
-def _subset_indices(subset, scenario: ImagingScenario) -> np.ndarray:
+def _channel_subset(subset, scenario: ImagingScenario) -> ChannelSubset:
+    """``subset`` as a range-checked ChannelSubset; None means all channels."""
     if subset is None:
-        return np.arange(scenario.n_channels, dtype=np.int64)
+        subset = np.arange(scenario.n_channels, dtype=np.int64)
     if not isinstance(subset, ChannelSubset):
         subset = ChannelSubset(np.asarray(subset))
     idx = subset.indices
@@ -236,7 +241,7 @@ def _subset_indices(subset, scenario: ImagingScenario) -> np.ndarray:
         raise IndexError(
             f"channel index {int(idx.max())} out of range [0, {scenario.n_channels})"
         )
-    return idx
+    return subset
 
 
 def _channel_groups(idx: np.ndarray, n_tx: int, n_rx: int):
@@ -258,6 +263,16 @@ def _channel_groups(idx: np.ndarray, n_tx: int, n_rx: int):
         pos = order[a:b]
         groups.append((int(fi[pos[0]]), int(ti[pos[0]]), ri[pos], pos))
     return groups
+
+
+_TILE = 4096  # voxels per adjoint task
+
+
+def _rows(sel: np.ndarray):
+    """Sorted table-row indices; a contiguous run becomes a slice (no copy)."""
+    if sel[-1] - sel[0] + 1 == sel.size:
+        return slice(int(sel[0]), int(sel[-1]) + 1)
+    return sel
 
 
 def _run_maybe_parallel(tasks, threads: int):
@@ -297,45 +312,38 @@ def _adjoint_values(
     plan = _plan(scenario)
     n_tx, n_rx = scenario.array.n_tx, scenario.array.n_rx
     n = scenario.n_voxels
-    groups = _channel_groups(idx, n_tx, n_rx)
+    fi, rem = np.divmod(idx, n_tx * n_rx)
+    ti, ri = np.divmod(rem, n_rx)
 
-    # regroup per frequency so partial sums can be reduced in a fixed order
-    per_freq: dict[int, list] = {}
-    for g in groups:
-        per_freq.setdefault(g[0], []).append(g)
+    # The target is sum over channels of conj(p * u * v) * r. Conjugation
+    # distributes exactly over complex multiply/add, so conjugate the small
+    # residual coefficients instead of the big phasor tables and un-conjugate
+    # the accumulated result once at the end. Per frequency the coefficients
+    # form a (touched tx) x (touched rx) matrix, zero where a pair is absent.
+    terms = []
+    for f in np.unique(fi):
+        sel = fi == f
+        ts, tpos = np.unique(ti[sel], return_inverse=True)
+        rs, rpos = np.unique(ri[sel], return_inverse=True)
+        coeffs = np.zeros((ts.size, rs.size), dtype=np.complex128)
+        coeffs[tpos, rpos] = np.conj(rvals[sel] * np.conj(plan.pulse_vals[f]))
+        terms.append((f, _rows(ts), _rows(rs), coeffs))
 
-    def make_task(fi, fgroups):
-        # The target is sum over channels of conj(p * u * v) * r. Conjugation
-        # distributes exactly over complex multiply/add, so conjugate the
-        # small residual coefficients instead of the big phasor tables and
-        # un-conjugate the accumulated result once at the end.
+    out = np.zeros(n, dtype=np.complex128)
+
+    def make_task(a, b):
+        # each voxel is summed by one task in ascending frequency order, so
+        # the result does not depend on the thread count
         def task():
-            ts = np.array([g[1] for g in fgroups])
-            p = plan.pulse_vals[fi]
-            tx_rows = plan.tx_tab[fi] if ts.size == n_tx else plan.tx_tab[fi][ts]
-            rs0 = fgroups[0][2]
-            if all(np.array_equal(g[2], rs0) for g in fgroups):
-                # rectangular (tx x rx) product: one small GEMM per frequency
-                rx_rows = plan.rx_tab[fi] if rs0.size == n_rx else plan.rx_tab[fi][rs0]
-                rmat_c = np.conj(np.array([rvals[g[3]] for g in fgroups]) * np.conj(p))
-                inner = rmat_c @ rx_rows
-                return np.conj(np.einsum("tn,tn->n", tx_rows, inner))
-            partial = np.zeros(n, dtype=np.complex128)
-            for (g, trow) in zip(fgroups, tx_rows):
-                coeffs_c = np.conj(rvals[g[3]] * np.conj(p))
-                partial += trow * (coeffs_c @ plan.rx_tab[fi][g[2]])
-            return np.conj(partial)
+            for f, ts, rs, coeffs in terms:
+                inner = coeffs @ plan.rx_tab[f, rs, a:b]
+                out[a:b] += np.einsum("tn,tn->n", plan.tx_tab[f, ts, a:b], inner)
 
         return task
 
-    freq_order = sorted(per_freq)
-    partials = _run_maybe_parallel(
-        [make_task(fi, per_freq[fi]) for fi in freq_order], threads
-    )
-    out = np.zeros(n, dtype=np.complex128)
-    for part in partials:  # fixed frequency order: thread-count independent
-        out += part
-    return out
+    tiles = [make_task(a, min(a + _TILE, n)) for a in range(0, n, _TILE)]
+    _run_maybe_parallel(tiles, threads)
+    return np.conj(out, out=out)
 
 
 # --- public operator API ----------------------------------------------------
@@ -350,13 +358,13 @@ def forward_apply(s, scenario: ImagingScenario, subset=None, threads: int = 1) -
     depend on it.
     """
     values = _volume_values(s, scenario)
-    idx = _subset_indices(subset, scenario)
+    idx = _channel_subset(subset, scenario).indices
     return _forward_values(values, scenario, idx, threads)
 
 
 def adjoint_apply(r, scenario: ImagingScenario, subset=None, threads: int = 1) -> np.ndarray:
     """Apply the conjugate transpose: entry n is sum_k conj(A[m_k, n]) * r_k."""
-    idx = _subset_indices(subset, scenario)
+    idx = _channel_subset(subset, scenario).indices
     rvals = np.asarray(r, dtype=np.complex128)
     if rvals.shape != (idx.size,):
         raise ValueError(f"expected {idx.size} residual values, got shape {rvals.shape}")

@@ -29,7 +29,7 @@ from .forward import (
     ChannelSubset,
     MeasurementSet,
     ReflectivityVolume,
-    _subset_indices,
+    _channel_subset,
     adjoint_apply,
     forward_apply,
 )
@@ -178,21 +178,20 @@ def data_fidelity(s, y, scenario: ImagingScenario, subset=None) -> float:
     """Mean squared residual over the selected channels: (1/B) sum of
     half squared residual magnitudes (B = M when subset is None)."""
     yv = _measurement_values(y, scenario)
-    idx = _subset_indices(subset, scenario)
-    resid = forward_apply(s, scenario, subset=idx) - yv[idx]
+    subset = _channel_subset(subset, scenario)
+    resid = forward_apply(s, scenario, subset=subset) - yv[subset.indices]
     return 0.5 * float(np.mean(np.abs(resid) ** 2))
 
 
-def _gradient(s, yv: np.ndarray, scenario: ImagingScenario, idx: np.ndarray) -> np.ndarray:
-    resid = forward_apply(s, scenario, subset=idx) - yv[idx]
-    return adjoint_apply(resid, scenario, subset=idx) / idx.size
+def _gradient(s, yv: np.ndarray, scenario: ImagingScenario, subset: ChannelSubset) -> np.ndarray:
+    resid = forward_apply(s, scenario, subset=subset) - yv[subset.indices]
+    return adjoint_apply(resid, scenario, subset=subset) / len(subset)
 
 
 def full_gradient(s, y, scenario: ImagingScenario) -> np.ndarray:
     """Conjugate gradient of the data fidelity: (1/M) A^H (A s - y)."""
     yv = _measurement_values(y, scenario)
-    idx = np.arange(scenario.n_channels, dtype=np.int64)
-    return _gradient(s, yv, scenario, idx)
+    return _gradient(s, yv, scenario, _channel_subset(None, scenario))
 
 
 def minibatch_gradient(s, y, scenario: ImagingScenario, subset) -> np.ndarray:
@@ -204,8 +203,7 @@ def minibatch_gradient(s, y, scenario: ImagingScenario, subset) -> np.ndarray:
     if subset is None:
         raise ValueError("minibatch_gradient requires a non-empty channel subset")
     yv = _measurement_values(y, scenario)
-    idx = _subset_indices(subset, scenario)
-    return _gradient(s, yv, scenario, idx)
+    return _gradient(s, yv, scenario, _channel_subset(subset, scenario))
 
 
 def sample_minibatch(
@@ -261,6 +259,9 @@ def check_termination(s_prev, s_next, tol: float) -> bool:
     return relative_magnitude_change(s_prev, s_next) < tol
 
 
+# A diverging iterate overflows before DivergenceError reports it; the typed
+# error is the report, so numpy's overflow warnings stay silent.
+@np.errstate(over="ignore", invalid="ignore")
 def _solve(
     y,
     scenario: ImagingScenario,
@@ -269,11 +270,10 @@ def _solve(
     stochastic: bool,
 ) -> SolveReport:
     yv = _measurement_values(y, scenario)
-    m = scenario.n_channels
     s = np.zeros(scenario.n_voxels, dtype=np.complex128)
 
     rng = np.random.default_rng(config.rng_seed)
-    full_idx = np.arange(m, dtype=np.int64)
+    full = _channel_subset(None, scenario)
     records: list[IterationRecord] = []
     termination = TERMINATION_MAX_ITERS
     iterations = 0
@@ -282,10 +282,10 @@ def _solve(
     for k in range(1, config.max_iters + 1):
         t_iter = time.perf_counter()
         if stochastic:
-            idx = sample_minibatch(config.composition, scenario, rng).indices
+            subset = sample_minibatch(config.composition, scenario, rng)
         else:
-            idx = full_idx
-        g = _gradient(s, yv, scenario, idx)
+            subset = full
+        g = _gradient(s, yv, scenario, subset)
         s_next = soft_threshold(s - config.eta * g, config.alpha)
         change = relative_magnitude_change(s, s_next)
         if not math.isfinite(change):
@@ -295,7 +295,7 @@ def _solve(
                 iter=k,
                 magnitude_change=change,
                 elapsed_seconds=time.perf_counter() - t_iter,
-                batch_size=int(idx.size),
+                batch_size=len(subset),
             )
         )
         s = s_next

@@ -1,9 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nfmimo
 from nfmimo import forward_apply, lipschitz_estimate
 from nfmimo.cli import main
 from nfmimo.io import read_measurements, read_scenario, read_volume
@@ -367,29 +373,49 @@ class TestNonFiniteInput:
         assert "pulse values must be finite" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def diverging_case(tmp_path_factory):
+    """12-voxel scenario, its measurements and eta = 100/L, far past the
+    stability limit 2/L."""
+    root = tmp_path_factory.mktemp("diverge")
+    scn = root / "scn.json"
+    meas = root / "meas.nfms"
+    assert main(
+        ["scenario-init", "--custom", "--tx", "2", "--rx", "2", "--f-count", "2",
+         "--extent", "0.02,0.02,0", "--dims", "3,4,1", "--out", str(scn)]
+    ) == 0
+    assert main(
+        ["simulate", "--scenario", str(scn), "--phantom", "points:2", "--seed", "1",
+         "--out", str(meas)]
+    ) == 0
+    eta = 100.0 / lipschitz_estimate(read_scenario(scn), n_iters=500, tol=1e-13)
+    return ["reconstruct", "--scenario", str(scn), "--measurements", str(meas),
+            "--method", "pgm", "--eta", repr(eta), "--alpha", "0", "--max-iters", "3000"]
+
+
 class TestDivergence:
-    def test_exit_one_names_iteration(self, tmp_path, capsys):
-        scn = tmp_path / "scn.json"
-        meas = tmp_path / "meas.nfms"
-        assert main(
-            ["scenario-init", "--custom", "--tx", "2", "--rx", "2", "--f-count", "2",
-             "--extent", "0.02,0.02,0", "--dims", "3,4,1", "--out", str(scn)]
-        ) == 0
-        assert main(
-            ["simulate", "--scenario", str(scn), "--phantom", "points:2", "--seed", "1",
-             "--out", str(meas)]
-        ) == 0
-        eta = 100.0 / lipschitz_estimate(read_scenario(scn), n_iters=500, tol=1e-13)
+    def test_exit_one_names_iteration(self, diverging_case, tmp_path, capsys):
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(
-                ["reconstruct", "--scenario", str(scn), "--measurements", str(meas),
-                 "--method", "pgm", "--eta", repr(eta), "--alpha", "0", "--max-iters", "3000",
-                 "--out", str(tmp_path / "x.nfmv")]
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*diverging_case, "--out", str(tmp_path / "x.nfmv")])
         assert code == 1
         assert "diverged at iteration 78" in capsys.readouterr().err
         assert not (tmp_path / "x.nfmv").exists()
+
+    def test_stderr_has_the_error_and_no_numpy_warning(self, diverging_case, tmp_path):
+        src = str(Path(nfmimo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nfmimo.cli", *diverging_case,
+             "--out", str(tmp_path / "x.nfmv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "solve diverged at iteration 78" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "overflow" not in proc.stderr
 
 
 class TestExitCodes:

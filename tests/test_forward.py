@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nfmimo.forward
 from nfmimo import (
     ArrayGeometry,
     ChannelSubset,
@@ -10,6 +13,7 @@ from nfmimo import (
     FrequencyGrid,
     ImagingScenario,
     MeasurementSet,
+    MinibatchComposition,
     ReflectivityVolume,
     SPEED_OF_LIGHT,
     Vec3,
@@ -19,8 +23,10 @@ from nfmimo import (
     data_fidelity,
     forward_apply,
     materialize_dense,
+    make_spiral_array,
     matrix_element,
     minibatch_gradient,
+    sample_minibatch,
     simulate_measurements,
 )
 from conftest import oracle_dense_matrix, random_complex
@@ -215,11 +221,83 @@ class TestAdjointApply:
             )
             assert abs(lhs - rhs) <= bound
 
-    def test_thread_count_agreement(self, small_scenario, rng):
+    def test_thread_count_agreement(self, small_scenario, rng, monkeypatch):
+        monkeypatch.setattr(nfmimo.forward, "_TILE", 5)  # 12 voxels: three tasks
         r = random_complex(rng, small_scenario.n_channels)
         g1 = adjoint_apply(r, small_scenario, threads=1)
         g4 = adjoint_apply(r, small_scenario, threads=4)
-        assert np.linalg.norm(g1 - g4) <= 1e-12 * np.linalg.norm(g1)
+        assert np.array_equal(g1, g4)
+
+    def test_thread_count_agreement_on_subset(self, small_scenario, rng, monkeypatch):
+        monkeypatch.setattr(nfmimo.forward, "_TILE", 5)
+        sub = np.array([0, 3, 4, 11, 17])
+        r = random_complex(rng, sub.size)
+        g1 = adjoint_apply(r, small_scenario, subset=sub, threads=1)
+        g4 = adjoint_apply(r, small_scenario, subset=sub, threads=4)
+        assert np.array_equal(g1, g4)
+
+
+@pytest.fixture(scope="module")
+def tiled_scenario() -> ImagingScenario:
+    """18 channels over 29x29x5 = 4205 voxels: more than one adjoint tile and
+    not a multiple of the tile size."""
+    return ImagingScenario(
+        array=make_spiral_array(3, 2, 0.15, rng_seed=3),
+        frequencies=FrequencyGrid(4e9, 9e9, 3),
+        voxels=VoxelGrid(center=Vec3(0.0, 0.0, 0.3), extent=(0.12, 0.12, 0.04), dims=(29, 29, 5)),
+    )
+
+
+def _adjoint_subsets(scenario: ImagingScenario) -> dict:
+    return {
+        "full": np.arange(scenario.n_channels),
+        "cartesian": sample_minibatch(MinibatchComposition(2, 2, 1), scenario, 3).indices,
+        "ragged": np.array([17, 0, 3, 4, 11, 12]),  # no (tx x rx) product per frequency
+    }
+
+
+class TestAdjointTiles:
+    @pytest.mark.parametrize("name", ["full", "cartesian", "ragged"])
+    def test_matches_dense_oracle(self, tiled_scenario, rng, name):
+        assert tiled_scenario.n_voxels % nfmimo.forward._TILE not in (0, tiled_scenario.n_voxels)
+        sub = _adjoint_subsets(tiled_scenario)[name]
+        dense = materialize_dense(tiled_scenario)
+        r = random_complex(rng, sub.size)
+        g = adjoint_apply(r, tiled_scenario, subset=sub)
+        ref = dense[sub].conj().T @ r
+        assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("name", ["full", "cartesian", "ragged"])
+    def test_bit_identical_across_aligned_tilings(self, tiled_scenario, rng, monkeypatch, name):
+        sub = _adjoint_subsets(tiled_scenario)[name]
+        r = random_complex(rng, sub.size)
+        ref = adjoint_apply(r, tiled_scenario, subset=sub)
+        # BLAS kernels unroll over columns, so only tiles that keep every
+        # column's offset modulo the unroll are expected to agree bitwise
+        for tile in (1024, 2048, 8192):
+            monkeypatch.setattr(nfmimo.forward, "_TILE", tile)
+            assert np.array_equal(adjoint_apply(r, tiled_scenario, subset=sub), ref), tile
+            assert np.array_equal(
+                adjoint_apply(r, tiled_scenario, subset=sub, threads=2), ref
+            ), tile
+
+    def test_minibatch_allocates_little_beyond_the_output(self, rng):
+        # 41x41x24 = 40344 voxels; the tables are built before measuring
+        scn = ImagingScenario(
+            array=make_spiral_array(6, 5, 0.2, rng_seed=1),
+            frequencies=FrequencyGrid(4e9, 8e9, 4),
+            voxels=VoxelGrid(center=Vec3(0, 0, 0.5), extent=(0.2, 0.2, 0.1), dims=(41, 41, 24)),
+        )
+        forward_apply(np.zeros(scn.n_voxels), scn)
+        sub = sample_minibatch(MinibatchComposition(3, 4, 3), scn, 0)
+        r = random_complex(rng, len(sub))
+        tracemalloc.start()
+        try:
+            adjoint_apply(r, scn, subset=sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * scn.n_voxels * 16
 
 
 class TestChannelSubset:

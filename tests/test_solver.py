@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,7 +269,8 @@ class TestDivergence:
         y = simulate_measurements(make_phantom("points:2", scn.voxels, rng_seed=1), scn)
         eta = 100.0 / lipschitz_estimate(scn, n_iters=500, tol=1e-13)
         seen = []
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the typed error is the report
             with pytest.raises(DivergenceError, match=f"iteration 78\\b.*eta={eta:g}") as exc:
                 pgm_solve(
                     y, scn, SolverConfig(eta=eta, alpha=0.0, max_iters=3000),
