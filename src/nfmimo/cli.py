@@ -14,6 +14,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .forward import simulate_measurements
 from .geometry import (
@@ -115,7 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate measurements for a synthetic phantom")
     p.add_argument("--scenario", required=True)
     p.add_argument("--phantom", required=True, help="points:k | bar | cross | file:path")
-    p.add_argument("--noise", type=float, default=0.0, help="complex noise std per channel")
+    noise = p.add_mutually_exclusive_group()
+    noise.add_argument("--noise", type=float, default=0.0, help="complex noise std per channel")
+    # absent unless given, so a --noise run keeps its flag hash
+    noise.add_argument("--snr-db", type=float, default=argparse.SUPPRESS,
+                       help="set the noise std from this measurement SNR, dB")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output measurement file")
     p.set_defaults(handler=_cmd_simulate)
@@ -232,14 +238,33 @@ def _truth_path(out: str) -> Path:
     return p.with_name(p.stem + "_truth.nfmv")
 
 
+def _snr_sigma(phantom, scenario: ImagingScenario, snr_db: float) -> float:
+    """The noise std that puts the clean measurements of ``phantom`` at a
+    measurement SNR of ``snr_db`` dB."""
+    try:
+        noise_to_signal = 10 ** (-snr_db / 10)
+    except OverflowError:
+        noise_to_signal = math.inf
+    if not (math.isfinite(noise_to_signal) and noise_to_signal > 0):
+        raise ValueError(f"--snr-db {snr_db} gives no finite, nonzero noise power")
+    clean = simulate_measurements(phantom, scenario).values
+    power = float(np.mean(np.abs(clean) ** 2))
+    if power == 0.0:
+        raise ValueError("--snr-db is undefined: the phantom's clean measurements are all zero")
+    return float(np.sqrt(power * noise_to_signal))
+
+
 def _cmd_simulate(args) -> int:
     scenario = read_scenario(args.scenario)
     phantom = make_phantom(args.phantom, scenario.voxels, rng_seed=args.seed)
-    measurements = simulate_measurements(phantom, scenario, noise_sigma=args.noise, rng_seed=args.seed)
+    sigma = args.noise
+    if hasattr(args, "snr_db"):
+        sigma = _snr_sigma(phantom, scenario, args.snr_db)
+    measurements = simulate_measurements(phantom, scenario, noise_sigma=sigma, rng_seed=args.seed)
     write_measurements(measurements, args.out)
     truth = _truth_path(args.out)
     write_volume(phantom, truth)
-    print(f"wrote {args.out} ({measurements.values.size} channels, noise sigma {args.noise:g})")
+    print(f"wrote {args.out} ({measurements.values.size} channels, noise sigma {sigma:g})")
     print(f"wrote {truth} (ground truth)")
     return 0
 

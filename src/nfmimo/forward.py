@@ -128,9 +128,13 @@ class ChannelSubset:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).ravel()
+        idx = np.asarray(self.indices).ravel()
         if idx.size < 1:
             raise ValueError("channel subset must be non-empty")
+        if not np.issubdtype(idx.dtype, np.integer):
+            # a cast would truncate fractions and read a boolean mask as 0/1 indices
+            raise ValueError(f"channel indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         if np.any(idx < 0):
             raise ValueError("channel indices must be non-negative")
         if np.unique(idx).size != idx.size:

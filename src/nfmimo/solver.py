@@ -20,6 +20,7 @@ g = (1/M) A^H (A s - y), dD/dRe(s_n) = Re(g_n) and dD/dIm(s_n) = Im(g_n).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -72,6 +73,14 @@ class DivergenceError(ValueError):
         self.eta = eta
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int: integers and integral floats pass, a fraction is
+    refused rather than truncated."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MinibatchComposition:
     """Per-iteration sampling plan (#frequencies, #transmitters, #receivers)."""
@@ -82,7 +91,7 @@ class MinibatchComposition:
 
     def __post_init__(self):
         for name in ("n_f", "n_tx", "n_rx"):
-            v = int(getattr(self, name))
+            v = _count(name, getattr(self, name))
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
             object.__setattr__(self, name, v)
@@ -130,9 +139,9 @@ class SolverConfig:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if int(self.max_iters) < 1:
+        self.max_iters = _count("max_iters", self.max_iters)
+        if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        self.max_iters = int(self.max_iters)
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.time_budget_s is not None and not self.time_budget_s > 0:

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import nfmimo
-from nfmimo import forward_apply, lipschitz_estimate
+from nfmimo import ReflectivityVolume, forward_apply, lipschitz_estimate
 from nfmimo.cli import main
-from nfmimo.io import read_measurements, read_scenario, read_volume
+from nfmimo.io import read_measurements, read_scenario, read_volume, write_volume
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,60 @@ class TestSimulate:
             ) == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a_truth.nfmv").read_bytes() == (tmp_path / "b_truth.nfmv").read_bytes()
+
+    def test_snr_db_writes_the_bytes_of_its_sigma(self, small_files, tmp_path):
+        scn_path = small_files["scenario"]
+        by_snr, by_sigma = tmp_path / "snr.nfms", tmp_path / "sigma.nfms"
+        common = ["simulate", "--scenario", str(scn_path), "--phantom", "points:2", "--seed", "11"]
+        assert main(common + ["--snr-db", "30", "--out", str(by_snr)]) == 0
+        scn = read_scenario(scn_path)
+        clean = forward_apply(read_volume(tmp_path / "snr_truth.nfmv", grid=scn.voxels), scn)
+        sigma = float(np.sqrt(np.mean(np.abs(clean) ** 2) * 10 ** (-30 / 10)))
+        assert sigma > 0
+        assert main(common + ["--noise", repr(sigma), "--out", str(by_sigma)]) == 0
+        assert by_snr.read_bytes() == by_sigma.read_bytes()
+        assert not np.array_equal(read_measurements(by_snr, scenario=scn).values, clean)
+
+    def test_snr_db_and_noise_are_exclusive(self, small_files, tmp_path):
+        code = main(
+            ["simulate", "--scenario", str(small_files["scenario"]), "--phantom", "points:1",
+             "--noise", "0.1", "--snr-db", "30", "--out", str(tmp_path / "x.nfms")]
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "phantom, snr_db",
+        [("points:1", "nan"), ("points:1", "-4000"), ("zero", "30")],
+        ids=["nan", "overflow", "zero-phantom"],
+    )
+    def test_undefined_snr_exits_one(self, small_files, tmp_path, capsys, phantom, snr_db):
+        if phantom == "zero":
+            scn = read_scenario(small_files["scenario"])
+            write_volume(ReflectivityVolume.zeros(scn.voxels), tmp_path / "zero.nfmv")
+            phantom = f"file:{tmp_path / 'zero.nfmv'}"
+        out = tmp_path / "x.nfms"
+        code = main(
+            ["simulate", "--scenario", str(small_files["scenario"]), "--phantom", phantom,
+             "--snr-db", snr_db, "--out", str(out)]
+        )
+        assert code == 1
+        assert "--snr-db" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_recipe(self, small_files, tmp_path):
+        scn = str(small_files["scenario"])
+        phantom, meas, sweep = tmp_path / "phantom.nfms", tmp_path / "meas.nfms", tmp_path / "sweep.csv"
+        assert main(["simulate", "--scenario", scn, "--phantom", "points:2", "--seed", "42",
+                     "--noise", "0", "--out", str(phantom)]) == 0
+        assert main(["simulate", "--scenario", scn,
+                     "--phantom", f"file:{tmp_path / 'phantom_truth.nfmv'}",
+                     "--snr-db", "30", "--seed", "7", "--out", str(meas)]) == 0
+        assert main(["benchmark", "--scenario", scn, "--measurements", str(meas),
+                     "--compositions", "1,1,1;2,2,2;3,3,3", "--seeds", "1,2",
+                     "--max-iters", "10", "--out", str(sweep)]) == 0
+        rows = sweep.read_text().strip().split("\n")
+        assert rows[0].startswith("composition_f,")
+        assert len(rows) == 1 + 3 * 2
 
     def test_bad_phantom_spec(self, small_files, tmp_path):
         code = main(

@@ -322,14 +322,16 @@ class TestChannelSubset:
             )
 
     @pytest.mark.parametrize(
-        "indices, error",
+        "indices, error, match",
         [
-            ([], ValueError),
-            ([-1, 0], ValueError),
-            ([1, 2, 1], ValueError),
-            ([8], IndexError),  # tiny_scenario has 8 channels
+            ([], ValueError, "non-empty"),
+            ([-1, 0], ValueError, "non-negative"),
+            ([1, 2, 1], ValueError, "duplicates"),
+            ([8], IndexError, "out of range"),  # tiny_scenario has 8 channels
+            ([0.5, 1.7], ValueError, "dtype float64"),
+            ([True, False] * 4, ValueError, "dtype bool"),
         ],
-        ids=["empty", "negative", "duplicate", "out-of-range"],
+        ids=["empty", "negative", "duplicate", "out-of-range", "float", "bool-mask"],
     )
     @pytest.mark.parametrize(
         "consumer",
@@ -340,11 +342,11 @@ class TestChannelSubset:
         ],
         ids=["forward_apply", "data_fidelity", "minibatch_gradient"],
     )
-    def test_bad_subset_rejected_alike(self, tiny_scenario, indices, error, consumer):
+    def test_bad_subset_rejected_alike(self, tiny_scenario, indices, error, match, consumer):
         s = np.zeros(tiny_scenario.n_voxels, dtype=complex)
         y = np.zeros(tiny_scenario.n_channels, dtype=complex)
-        with pytest.raises(error) as excinfo:
-            consumer(s, y, tiny_scenario, np.array(indices, dtype=int))
+        with pytest.raises(error, match=match) as excinfo:
+            consumer(s, y, tiny_scenario, np.array(indices))
         assert excinfo.type is error
 
     def test_preserves_order(self):

@@ -146,6 +146,13 @@ class TestSampleMinibatch:
     def test_composition_validation(self):
         with pytest.raises(ValueError):
             MinibatchComposition(0, 1, 1)
+        with pytest.raises(ValueError, match="n_f must be a whole number"):
+            MinibatchComposition(1.9, 1, 1)
+        with pytest.raises(ValueError, match="n_rx must be a whole number"):
+            MinibatchComposition(1, 1, float("nan"))
+        comp = MinibatchComposition(np.int64(2), 3.0, 1)
+        assert (comp.n_f, comp.n_tx, comp.n_rx) == (2, 3, 1)
+        assert all(type(v) is int for v in (comp.n_f, comp.n_tx, comp.n_rx))
 
 
 class TestMinibatchGradient:
@@ -411,11 +418,18 @@ class TestSolverConfig:
             {"max_iters": 0},
             {"tol": 0.0},
             {"time_budget_s": 0.0},
+            {"max_iters": 2.7},
+            {"max_iters": float("inf")},
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("max_iters", [3, 3.0, np.int64(3)])
+    def test_integral_max_iters_accepted(self, max_iters):
+        cfg = SolverConfig(max_iters=max_iters)
+        assert cfg.max_iters == 3 and type(cfg.max_iters) is int
 
     def test_paper_defaults(self):
         cfg = SolverConfig()
