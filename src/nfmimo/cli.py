@@ -50,41 +50,31 @@ class _UsageError(Exception):
     pass
 
 
-def _int_triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected three comma-separated integers, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _list_arg(parse, n: int | None = None, sep: str = ","):
+    """argparse type for ``sep``-separated values, each read by ``parse``:
+    exactly ``n`` of them as a tuple or, with ``n`` None, a non-empty list
+    (blank items skipped). The flag hash prints these containers, so their
+    types are part of every ``config=`` value."""
+
+    def read(text: str):
+        parts = text.split(sep)
+        if n is None:
+            parts = [part for part in parts if part.strip()]
+        if not parts or (n is not None and len(parts) != n):
+            raise argparse.ArgumentTypeError(
+                f"expected {n or 'one or more'} {sep!r}-separated values, got {text!r}"
+            )
+        try:
+            values = [parse(part.strip()) for part in parts]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return tuple(values) if n else values
+
+    return read
 
 
-def _float_triple(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _composition_list(text: str) -> list[tuple[int, int, int]]:
-    items = [part for part in text.split(";") if part.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("composition list is empty")
-    return [_int_triple(part.strip()) for part in items]
-
-
-def _seed_list(text: str) -> list[int]:
-    items = [part for part in text.split(",") if part.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("seed list is empty")
-    try:
-        return [int(part) for part in items]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+_INT_TRIPLE = _list_arg(int, 3)
+_FLOAT_TRIPLE = _list_arg(float, 3)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,8 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scenario-init", help="write a scenario JSON document")
-    p.add_argument("--preset", choices=["paper-v"], help="named preset scenario")
-    p.add_argument("--custom", action="store_true", help="build a scenario from the flags below")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--preset", choices=["paper-v"], help="named preset scenario")
+    mode.add_argument("--custom", action="store_true", help="build a scenario from the flags below")
     p.add_argument("--tx", type=int, default=16, help="transmitter count (custom)")
     p.add_argument("--rx", type=int, default=9, help="receiver count (custom)")
     p.add_argument("--radius", type=float, default=0.25, help="spiral array radius, m (custom)")
@@ -104,9 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-start", type=float, default=4e9, help="sweep start, Hz (custom)")
     p.add_argument("--f-stop", type=float, default=16e9, help="sweep stop, Hz (custom)")
     p.add_argument("--f-count", type=int, default=11, help="frequency count (custom)")
-    p.add_argument("--center", type=_float_triple, default=(0.0, 0.0, 0.5), help="scene center x,y,z m (custom)")
-    p.add_argument("--extent", type=_float_triple, default=None, help="scene extent Lx,Ly,Lz m (custom)")
-    p.add_argument("--dims", type=_int_triple, default=(61, 61, 21), help="voxel counts nx,ny,nz (custom)")
+    p.add_argument("--center", type=_FLOAT_TRIPLE, default=(0.0, 0.0, 0.5), help="scene center x,y,z m (custom)")
+    p.add_argument("--extent", type=_FLOAT_TRIPLE, default=None, help="scene extent Lx,Ly,Lz m (custom)")
+    p.add_argument("--dims", type=_INT_TRIPLE, default=(61, 61, 21), help="voxel counts nx,ny,nz (custom)")
     p.add_argument("--out", required=True, help="output scenario JSON path")
     p.set_defaults(handler=_cmd_scenario_init)
 
@@ -130,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--measurements", required=True)
     p.add_argument("--method", choices=["pgm", "spgm"], required=True)
-    p.add_argument("--batch", type=_int_triple, default=None, help="minibatch f,tx,rx (spgm)")
+    p.add_argument("--batch", type=_INT_TRIPLE, default=None, help="minibatch f,tx,rx (spgm)")
     p.add_argument("--eta", type=float, default=1e-3, help="gradient step size")
     p.add_argument("--alpha", type=float, default=4e-5, help="per-iteration l1 weight")
     p.add_argument("--tol", type=float, default=1e-3, help="relative magnitude-change stop")
@@ -151,9 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="minibatch-composition sweep")
     p.add_argument("--scenario", required=True)
     p.add_argument("--measurements", required=True)
-    p.add_argument("--compositions", type=_composition_list, required=True,
+    p.add_argument("--compositions", type=_list_arg(_INT_TRIPLE, sep=";"), required=True,
                    help="semicolon-separated f,tx,rx triples, e.g. '4,4,3;11,16,9'")
-    p.add_argument("--seeds", type=_seed_list, required=True, help="comma-separated seeds")
+    p.add_argument("--seeds", type=_list_arg(int), required=True, help="comma-separated seeds")
     p.add_argument("--eta", type=float, default=1e-3)
     p.add_argument("--alpha", type=float, default=4e-5)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -192,10 +183,6 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_scenario_init(args) -> int:
-    if args.preset and args.custom:
-        raise _UsageError("--preset and --custom are mutually exclusive")
-    if not args.preset and not args.custom:
-        raise _UsageError("choose either --preset or --custom")
     if args.preset:
         scenario = preset_scenario(args.preset)
     else:

@@ -37,6 +37,7 @@ from .geometry import (
     ImagingScenario,
     SingularityError,
     VoxelGrid,
+    _real,
     channel_of,
     scenario_fingerprint,
     voxel_center,
@@ -103,10 +104,7 @@ class MeasurementSet:
         if len(self.fingerprint) != 32:
             raise ValueError("fingerprint must be 32 bytes")
         if self.noise_sigma is not None:
-            sigma = float(self.noise_sigma)
-            if not (math.isfinite(sigma) and sigma >= 0):
-                raise ValueError(f"noise_sigma must be >= 0, got {sigma}")
-            self.noise_sigma = sigma
+            self.noise_sigma = _real("noise_sigma", self.noise_sigma, at_least=0)
 
     def matches(self, scenario: ImagingScenario) -> bool:
         return (
@@ -387,9 +385,7 @@ def simulate_measurements(
     noise_sigma^2 (real and imaginary parts each N(0, sigma^2/2)). With
     noise_sigma=0 the clean forward application is returned bit-exactly.
     """
-    sigma = float(noise_sigma)
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    sigma = _real("noise_sigma", noise_sigma, at_least=0)
     y = forward_apply(s, scenario)
     if sigma > 0:
         rng = np.random.default_rng(rng_seed)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,47 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
 class SingularityError(ValueError):
     """A voxel center coincides with an antenna (propagation term blows up)."""
+
+
+# One validator per kind of scalar input. Each refuses with a ValueError that
+# names the input; none coerces a bool or a string into a number.
+
+
+def _real(name: str, value, above: float | None = None, at_least: float | None = None) -> float:
+    """``value`` as a finite float, optionally > ``above`` or >= ``at_least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    if above is not None and not v > above:
+        raise ValueError(f"{name} must be > {above:g}, got {v!r}")
+    if at_least is not None and not v >= at_least:
+        raise ValueError(f"{name} must be >= {at_least:g}, got {v!r}")
+    return v
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int >= 1: integers and integral floats pass, a fraction
+    is refused rather than truncated."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    v = int(value)
+    if v < 1:
+        raise ValueError(f"{name} must be >= 1, got {v}")
+    return v
+
+
+def _complex(name: str, value) -> complex:
+    """``value`` as a complex number with finite real and imaginary parts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    v = complex(value)
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -30,10 +72,7 @@ class Vec3:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"Vec3.{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _real(f"Vec3.{name}", getattr(self, name)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
@@ -43,7 +82,7 @@ def _as_vec3(value) -> Vec3:
     if isinstance(value, Vec3):
         return value
     x, y, z = value
-    return Vec3(float(x), float(y), float(z))
+    return Vec3(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -93,17 +132,10 @@ class FrequencyGrid:
     count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "f_start", float(self.f_start))
-        object.__setattr__(self, "f_stop", float(self.f_stop))
-        object.__setattr__(self, "count", int(self.count))
-        if not (math.isfinite(self.f_start) and math.isfinite(self.f_stop)):
-            raise ValueError("frequency endpoints must be finite")
-        if self.f_start <= 0:
-            raise ValueError(f"f_start must be positive, got {self.f_start}")
-        if self.f_stop < self.f_start:
-            raise ValueError("f_stop must be >= f_start")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        f_start = _real("f_start", self.f_start, above=0)
+        object.__setattr__(self, "f_start", f_start)
+        object.__setattr__(self, "f_stop", _real("f_stop", self.f_stop, at_least=f_start))
+        object.__setattr__(self, "count", _count("count", self.count))
         if self.count == 1 and self.f_start != self.f_stop:
             raise ValueError("single-point grid requires f_start == f_stop")
         if self.count > 1 and self.f_start == self.f_stop:
@@ -135,15 +167,11 @@ class VoxelGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_vec3(self.center))
-        ext = tuple(float(e) for e in self.extent)
-        dims = tuple(int(d) for d in self.dims)
+        ext = tuple(_real(f"extent[{i}]", e, at_least=0) for i, e in enumerate(self.extent))
+        dims = tuple(_count(f"dims[{i}]", d) for i, d in enumerate(self.dims))
         object.__setattr__(self, "extent", ext)
         object.__setattr__(self, "dims", dims)
         for axis, (e, d) in enumerate(zip(ext, dims)):
-            if not math.isfinite(e) or e < 0:
-                raise ValueError(f"extent[{axis}] must be finite and >= 0, got {e}")
-            if d < 1:
-                raise ValueError(f"dims[{axis}] must be >= 1, got {d}")
             if d == 1 and e != 0.0:
                 raise ValueError(f"axis {axis} has a single voxel; extent must be 0, got {e}")
             if d > 1 and e == 0.0:
@@ -223,10 +251,7 @@ class ConstantPulse:
     value: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        v = complex(self.value)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError("pulse value must be finite")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _complex("pulse value", self.value))
 
     def evaluate(self, freqs: np.ndarray) -> np.ndarray:
         return np.full(np.shape(freqs), self.value, dtype=np.complex128)
@@ -247,18 +272,14 @@ class TabulatedPulse:
     values: tuple[complex, ...]
 
     def __post_init__(self):
-        fr = tuple(float(f) for f in self.frequencies_hz)
-        vals = tuple(complex(v) for v in self.values)
+        fr = tuple(_real("pulse knot frequencies", f) for f in self.frequencies_hz)
+        vals = tuple(_complex("pulse values", v) for v in self.values)
         object.__setattr__(self, "frequencies_hz", fr)
         object.__setattr__(self, "values", vals)
         if len(fr) != len(vals):
             raise ValueError("frequencies_hz and values must have equal length")
         if len(fr) < 1:
             raise ValueError("tabulated pulse needs at least one knot")
-        if any(not math.isfinite(f) for f in fr):
-            raise ValueError("pulse knot frequencies must be finite")
-        if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in vals):
-            raise ValueError("pulse values must be finite")
         if any(b <= a for a, b in zip(fr, fr[1:])):
             raise ValueError("pulse knot frequencies must be strictly increasing")
 
@@ -289,9 +310,7 @@ class ImagingScenario:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        object.__setattr__(self, "c", float(self.c))
-        if not math.isfinite(self.c) or self.c <= 0:
-            raise ValueError(f"speed of light must be positive and finite, got {self.c}")
+        object.__setattr__(self, "c", _real("speed of light", self.c, above=0))
         if not self.pulse.covers(self.frequencies.f_start, self.frequencies.f_stop):
             raise ValueError("tabulated pulse knots do not cover the frequency band")
         # Fail fast on antenna/voxel coincidence so the element evaluation
@@ -344,10 +363,8 @@ def make_spiral_array(n_tx: int, n_rx: int, radius: float, rng_seed: int = 0) ->
     Deterministic for a fixed seed (the seed only rotates the two spirals).
     This is a generic stand-in layout, not a replica of any measured array.
     """
-    if n_tx < 1 or n_rx < 1:
-        raise ValueError("n_tx and n_rx must be >= 1")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be positive, got {radius}")
+    n_tx, n_rx = _count("n_tx", n_tx), _count("n_rx", n_rx)
+    radius = _real("radius", radius, above=0)
     rng = np.random.default_rng(rng_seed)
     theta_tx, theta_rx = rng.uniform(0.0, 2.0 * math.pi, size=2)
 

@@ -206,38 +206,21 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str], path: str) -
             raise SchemaError(f"missing key {path}{key}")
 
 
-def _number(doc: dict, key: str, path: str) -> float:
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{path}{key} must be a number")
-    return float(v)
+def _number(value, path: str, integer: bool = False):
+    """A numeric leaf of a scenario document: a JSON number (an integer when
+    asked), never a bool or a string. The scenario types check its value."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise SchemaError(f"{path} must be {kind}, got {value!r}")
+    return value if integer else float(value)
 
 
-def _integer(doc: dict, key: str, path: str) -> int:
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{path}{key} must be an integer")
-    return v
-
-
-def _triple(doc: dict, key: str, path: str) -> tuple:
-    v = doc[key]
-    if not isinstance(v, list) or len(v) != 3:
-        raise SchemaError(f"{path}{key} must be a list of 3 numbers")
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SchemaError(f"{path}{key} must contain numbers only")
-    return tuple(v)
-
-
-def _complex_from_pair(v, path: str) -> complex:
-    if (
-        not isinstance(v, list)
-        or len(v) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
-    ):
-        raise SchemaError(f"{path} must be a [re, im] pair")
-    return complex(float(v[0]), float(v[1]))
+def _numbers(value, path: str, n: int | None = None, integer: bool = False) -> list:
+    """A list of ``n`` numeric leaves (any length when ``n`` is None)."""
+    if not isinstance(value, list) or (n is not None and len(value) != n):
+        count = f"{n} " if n else ""
+        raise SchemaError(f"{path} must be a list of {count}numbers")
+    return [_number(v, f"{path}[{i}]", integer) for i, v in enumerate(value)]
 
 
 def _parse_pulse(doc, path: str):
@@ -246,18 +229,17 @@ def _parse_pulse(doc, path: str):
     mode = doc.get("mode")
     if mode == "constant":
         _require_keys(doc, {"mode", "value"}, {"mode", "value"}, path)
-        return ConstantPulse(_complex_from_pair(doc["value"], path + "value"))
+        return ConstantPulse(complex(*_numbers(doc["value"], path + "value", 2)))
     if mode == "tabulated":
         _require_keys(
             doc, {"mode", "frequencies_hz", "values"}, {"mode", "frequencies_hz", "values"}, path
         )
-        freqs = doc["frequencies_hz"]
         vals = doc["values"]
-        if not isinstance(freqs, list) or not isinstance(vals, list):
-            raise SchemaError(f"{path}frequencies_hz and {path}values must be lists")
+        if not isinstance(vals, list):
+            raise SchemaError(f"{path}values must be a list of [re, im] pairs")
         return TabulatedPulse(
-            tuple(float(f) for f in freqs),
-            tuple(_complex_from_pair(v, f"{path}values[{i}]") for i, v in enumerate(vals)),
+            tuple(_numbers(doc["frequencies_hz"], path + "frequencies_hz")),
+            tuple(complex(*_numbers(v, f"{path}values[{i}]", 2)) for i, v in enumerate(vals)),
         )
     raise SchemaError(f"{path}mode must be 'constant' or 'tabulated'")
 
@@ -266,12 +248,7 @@ def _parse_antennas(doc, key: str) -> tuple[Vec3, ...]:
     v = doc[key]
     if not isinstance(v, list) or not v:
         raise SchemaError(f"{key} must be a non-empty list of [x, y, z] positions")
-    out = []
-    for i, pos in enumerate(v):
-        if not isinstance(pos, list) or len(pos) != 3:
-            raise SchemaError(f"{key}[{i}] must be an [x, y, z] triple")
-        out.append(Vec3(*(float(c) for c in pos)))
-    return tuple(out)
+    return tuple(Vec3(*_numbers(pos, f"{key}[{i}]", 3)) for i, pos in enumerate(v))
 
 
 def document_to_scenario(doc: dict) -> ImagingScenario:
@@ -289,9 +266,6 @@ def document_to_scenario(doc: dict) -> ImagingScenario:
     if not isinstance(vox_doc, dict):
         raise SchemaError("voxels must be an object")
     _require_keys(vox_doc, {"center", "extent", "dims"}, {"center", "extent", "dims"}, "voxels.")
-    dims = _triple(vox_doc, "dims", "voxels.")
-    if any(not isinstance(d, int) for d in dims):
-        raise SchemaError("voxels.dims must contain integers")
     try:
         return ImagingScenario(
             array=ArrayGeometry(
@@ -299,17 +273,17 @@ def document_to_scenario(doc: dict) -> ImagingScenario:
                 receivers=_parse_antennas(doc, "receivers"),
             ),
             frequencies=FrequencyGrid(
-                f_start=_number(freq_doc, "start_hz", "frequencies."),
-                f_stop=_number(freq_doc, "stop_hz", "frequencies."),
-                count=_integer(freq_doc, "count", "frequencies."),
+                f_start=_number(freq_doc["start_hz"], "frequencies.start_hz"),
+                f_stop=_number(freq_doc["stop_hz"], "frequencies.stop_hz"),
+                count=_number(freq_doc["count"], "frequencies.count", integer=True),
             ),
             voxels=VoxelGrid(
-                center=Vec3(*(float(c) for c in _triple(vox_doc, "center", "voxels."))),
-                extent=tuple(float(e) for e in _triple(vox_doc, "extent", "voxels.")),
-                dims=dims,
+                center=Vec3(*_numbers(vox_doc["center"], "voxels.center", 3)),
+                extent=tuple(_numbers(vox_doc["extent"], "voxels.extent", 3)),
+                dims=tuple(_numbers(vox_doc["dims"], "voxels.dims", 3, integer=True)),
             ),
             pulse=_parse_pulse(doc["pulse"], "pulse."),
-            c=_number(doc, "speed_of_light", ""),
+            c=_number(doc["speed_of_light"], "speed_of_light"),
         )
     except FormatError:
         raise

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forward import ReflectivityVolume
-from .geometry import VoxelGrid
+from .geometry import VoxelGrid, _count
 
 __all__ = ["make_phantom", "PHANTOM_KINDS"]
 
@@ -21,8 +21,7 @@ PHANTOM_KINDS = ("points", "bar", "cross", "file")
 
 
 def _points(grid: VoxelGrid, k: int, rng: np.random.Generator) -> np.ndarray:
-    if k < 1:
-        raise ValueError(f"points phantom needs k >= 1, got {k}")
+    k = _count("points phantom k", k)
     if k > grid.n_voxels:
         raise ValueError(f"cannot place {k} scatterers in {grid.n_voxels} voxels")
     values = np.zeros(grid.n_voxels, dtype=np.complex128)

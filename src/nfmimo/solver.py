@@ -20,7 +20,6 @@ g = (1/M) A^H (A s - y), dD/dRe(s_n) = Re(g_n) and dD/dIm(s_n) = Im(g_n).
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -34,7 +33,7 @@ from .forward import (
     adjoint_apply,
     forward_apply,
 )
-from .geometry import ImagingScenario
+from .geometry import ImagingScenario, _count, _real
 
 __all__ = [
     "DivergenceError",
@@ -73,14 +72,6 @@ class DivergenceError(ValueError):
         self.eta = eta
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int: integers and integral floats pass, a fraction is
-    refused rather than truncated."""
-    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MinibatchComposition:
     """Per-iteration sampling plan (#frequencies, #transmitters, #receivers)."""
@@ -91,10 +82,7 @@ class MinibatchComposition:
 
     def __post_init__(self):
         for name in ("n_f", "n_tx", "n_rx"):
-            v = _count(name, getattr(self, name))
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
 
     @property
     def batch_size(self) -> int:
@@ -135,17 +123,12 @@ class SolverConfig:
     time_budget_s: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        self.eta = _real("eta", self.eta, above=0)
+        self.alpha = _real("alpha", self.alpha, at_least=0)
         self.max_iters = _count("max_iters", self.max_iters)
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.time_budget_s is not None and not self.time_budget_s > 0:
-            raise ValueError(f"time_budget_s must be > 0, got {self.time_budget_s}")
+        self.tol = _real("tol", self.tol, above=0)
+        if self.time_budget_s is not None:
+            self.time_budget_s = _real("time_budget_s", self.time_budget_s, above=0)
 
 
 @dataclass
@@ -166,21 +149,14 @@ class SolveReport:
 
 
 def _measurement_values(y, scenario: ImagingScenario) -> np.ndarray:
-    if isinstance(y, MeasurementSet):
-        if not y.matches(scenario):
-            raise ValueError(
-                "measurement fingerprint does not match the scenario "
-                "(wrong scenario or stale measurement file)"
-            )
-        return y.values
-    vals = np.asarray(y, dtype=np.complex128)
-    if vals.shape != (scenario.n_channels,):
+    if not isinstance(y, MeasurementSet):
+        y = MeasurementSet.for_scenario(y, scenario)
+    if not y.matches(scenario):
         raise ValueError(
-            f"expected {scenario.n_channels} measurements, got shape {vals.shape}"
+            f"measurement fingerprint or size does not match the scenario: {y.values.size} "
+            f"values for {scenario.n_channels} channels (wrong scenario or stale measurement file)"
         )
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("measurement values must be finite")
-    return vals
+    return y.values
 
 
 def data_fidelity(s, y, scenario: ImagingScenario, subset=None) -> float:
@@ -243,8 +219,7 @@ def soft_threshold(v, alpha: float) -> np.ndarray:
     Entries shrink toward zero by alpha in magnitude with phase preserved;
     magnitudes at or below alpha map to exactly zero.
     """
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha = _real("alpha", alpha, at_least=0)
     v = np.asarray(v, dtype=np.complex128)
     mag = np.abs(v)
     scale = np.zeros(v.shape, dtype=np.float64)
@@ -381,7 +356,7 @@ def lipschitz_estimate(
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
     lam = 0.0
-    for _ in range(n_iters):
+    for _ in range(_count("n_iters", n_iters)):
         z = adjoint_apply(forward_apply(x, scenario), scenario) / m
         lam_new = float(np.real(np.vdot(x, z)))
         nz = np.linalg.norm(z)

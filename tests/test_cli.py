@@ -84,6 +84,25 @@ class TestScenarioInit:
         assert "# nfmimo" in err and "config=" in err
 
 
+# The flag hash formats list and tuple values with str(), so these pin the
+# container types the list flags parse into as well as their values.
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["scenario-init", "--custom", "--dims", "2,2,1", "--extent", "0.1,0.1,0",
+          "--center", "0,0,0.5", "--out", "scenario.json"], "bad1687f4abe"),
+        (["benchmark", "--scenario", "scenario.json", "--measurements", "meas.nfms",
+          "--compositions", "1,1,1;2,2,1", "--seeds", "1,2", "--out", "sweep.csv"],
+         "48f65bd97fe6"),
+    ],
+    ids=["scenario-init", "benchmark"],
+)
+def test_flag_hash_is_stable(argv, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    main(argv)  # benchmark exits 1 here (no input files), after the repro line
+    assert f" config={config}\n" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_zero_noise_measurements_equal_forward_of_truth(self, small_files):
         scn = read_scenario(small_files["scenario"])

@@ -65,7 +65,9 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(5e9, 6e9, 1)
 
-    @pytest.mark.parametrize("args", [(0.0, 1e9, 2), (-1e9, 1e9, 2), (2e9, 1e9, 2), (1e9, 2e9, 0)])
+    @pytest.mark.parametrize(
+        "args", [(0.0, 1e9, 2), (-1e9, 1e9, 2), (2e9, 1e9, 2), (1e9, 2e9, 0), (4e9, 16e9, 2.7)]
+    )
     def test_invalid_grids(self, args):
         with pytest.raises(ValueError):
             FrequencyGrid(*args)
@@ -98,6 +100,10 @@ class TestVoxelGrid:
             VoxelGrid(center=Vec3(0, 0, 0), extent=(0.1, 0.1, 0.1), dims=(2, 2, 1))
         with pytest.raises(ValueError):
             VoxelGrid(center=Vec3(0, 0, 0), extent=(0.1, 0.0, 0.1), dims=(2, 2, 2))
+
+    def test_fractional_dims_refused(self):
+        with pytest.raises(ValueError, match=r"dims\[0\] must be a whole number"):
+            VoxelGrid(center=Vec3(0, 0, 0), extent=(0.1, 0.1, 0.0), dims=(3.9, 3, 1))
 
     def test_exhaustive_flat_index_round_trip_at_paper_size(self):
         nx, ny, nz = PAPER_GRID.dims
@@ -182,6 +188,10 @@ class TestSpiralArray:
     def test_bad_radius(self, radius):
         with pytest.raises(ValueError):
             make_spiral_array(2, 2, radius)
+
+    def test_fractional_antenna_count(self):
+        with pytest.raises(ValueError, match="n_tx must be a whole number"):
+            make_spiral_array(2.5, 3, 0.25)
 
 
 class TestPulseSpectrum:

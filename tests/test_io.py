@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -308,6 +309,30 @@ class TestScenarioJson:
         path.write_text(json.dumps(doc))  # the bare NaN literal that json.loads accepts
         assert "NaN" in path.read_text()
         with pytest.raises(SchemaError, match="finite"):
+            read_scenario(path)
+
+    @pytest.mark.parametrize("bad", [True, "0.2"], ids=["bool", "string"])
+    @pytest.mark.parametrize(
+        "key_path, pointer",
+        [
+            ("transmitters[0][0]", ("transmitters", 0, 0)),
+            ("pulse.frequencies_hz[1]", ("pulse", "frequencies_hz", 1)),
+            ("voxels.center[2]", ("voxels", "center", 2)),
+            ("voxels.extent[0]", ("voxels", "extent", 0)),
+            ("speed_of_light", ("speed_of_light",)),
+        ],
+        ids=["antenna", "pulse-knot", "center", "extent", "speed-of-light"],
+    )
+    def test_number_leaf_must_be_a_json_number(self, tmp_path, key_path, pointer, bad):
+        path = tmp_path / "scn.json"
+        write_scenario(_tabulated_scenario(), path)
+        doc = json.loads(path.read_text())
+        parent = doc
+        for key in pointer[:-1]:
+            parent = parent[key]
+        parent[pointer[-1]] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=re.escape(key_path)):
             read_scenario(path)
 
     def test_tabulated_pulse_round_trip(self, tmp_path):

@@ -214,6 +214,11 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(np.array([1.0 + 0j]), -0.1)
 
+    @pytest.mark.parametrize("alpha", ["0.1", True])
+    def test_non_number_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            soft_threshold(np.array([1.0 + 0j]), alpha)
+
     def test_against_golden_section_oracle(self, rng):
         # A value-comparison search pins the minimizer only to ~sqrt(eps), so
         # the 1e-9 agreement is asserted on the achieved objective values.
@@ -407,6 +412,12 @@ class TestLipschitzEstimate:
         got = lipschitz_estimate(small_scenario, n_iters=500, tol=1e-13)
         assert got == pytest.approx(expect, rel=1e-6)
 
+    @pytest.mark.parametrize("n_iters", [0, 2.5])
+    def test_n_iters_must_be_a_count(self, tiny_scenario, n_iters):
+        # 0 used to return an estimate of 0.0 and 2.5 a bare TypeError
+        with pytest.raises(ValueError, match="n_iters must be"):
+            lipschitz_estimate(tiny_scenario, n_iters=n_iters)
+
 
 class TestSolverConfig:
     @pytest.mark.parametrize(
@@ -420,6 +431,8 @@ class TestSolverConfig:
             {"time_budget_s": 0.0},
             {"max_iters": 2.7},
             {"max_iters": float("inf")},
+            {"tol": True},
+            {"eta": "0.1"},
         ],
     )
     def test_invalid_configs(self, kwargs):
