@@ -63,7 +63,7 @@ class DenseCapError(RuntimeError):
 
 @dataclass(eq=False)
 class ReflectivityVolume:
-    """Complex reflectivity per voxel, flat x-fastest order."""
+    """Complex reflectivity per voxel, in the grid's flat order (``grid.shape``)."""
 
     values: np.ndarray
     grid: VoxelGrid
@@ -246,25 +246,22 @@ def _channel_subset(subset, scenario: ImagingScenario) -> ChannelSubset:
     return subset
 
 
-def _channel_groups(idx: np.ndarray, n_tx: int, n_rx: int):
-    """Split flat channel indices into per-(frequency, transmitter) runs.
+def _by_frequency(idx: np.ndarray, scenario: ImagingScenario):
+    """Split flat channel indices by frequency, in ascending order.
 
-    Returns (fi, ti, ri_array, out_positions) tuples in deterministic order:
-    ascending frequency, then transmitter, then receiver.
+    Yields (f, pos, ts, tpos, rs, rpos) per touched frequency f: ``pos`` are
+    the channels' positions in ``idx``, ``ts``/``rs`` the touched transmitters
+    and receivers (ascending), and channel ``idx[pos[k]]`` is
+    (f, ts[tpos[k]], rs[rpos[k]]). The forward and the adjoint both split a
+    subset here, so they map every channel to the same triple.
     """
-    fi = idx // (n_tx * n_rx)
-    rem = idx % (n_tx * n_rx)
-    ti = rem // n_rx
-    ri = rem % n_rx
-    order = np.lexsort((ri, ti, fi))
-    key = (fi * n_tx + ti)[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(key) != 0])
-    bounds = np.r_[starts, key.size]
-    groups = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        pos = order[a:b]
-        groups.append((int(fi[pos[0]]), int(ti[pos[0]]), ri[pos], pos))
-    return groups
+    fi, ti, ri = np.unravel_index(idx, scenario.channel_shape)
+    for f in np.unique(fi):
+        pos = np.flatnonzero(fi == f)
+        t, r = ti[pos], ri[pos]
+        ts, rs = np.unique(t), np.unique(r)
+        # same places as np.unique's return_inverse, at a third of its cost
+        yield int(f), pos, ts, np.searchsorted(ts, t), rs, np.searchsorted(rs, r)
 
 
 _TILE = 4096  # voxels per adjoint task
@@ -288,23 +285,24 @@ def _forward_values(
     values: np.ndarray, scenario: ImagingScenario, idx: np.ndarray, threads: int
 ) -> np.ndarray:
     plan = _plan(scenario)
-    n_tx, n_rx = scenario.array.n_tx, scenario.array.n_rx
     out = np.empty(idx.size, dtype=np.complex128)
-    groups = _channel_groups(idx, n_tx, n_rx)
 
-    def make_task(group):
-        fi, ti, ri, pos = group
-
+    def make_task(f, t, receivers, pos):
         def task():
-            p = plan.pulse_vals[fi]
-            w_row = plan.tx_tab[fi, ti] * values
-            rx_rows = plan.rx_tab[fi]
-            for r, k in zip(ri, pos):
+            p = plan.pulse_vals[f]
+            w_row = plan.tx_tab[f, t] * values
+            rx_rows = plan.rx_tab[f]
+            for r, k in zip(receivers, pos):
                 out[k] = p * np.dot(w_row, rx_rows[r])
 
         return task
 
-    _run_maybe_parallel([make_task(g) for g in groups], threads)
+    tasks = []
+    for f, pos, ts, tpos, rs, rpos in _by_frequency(idx, scenario):
+        for j, t in enumerate(ts):
+            mine = tpos == j
+            tasks.append(make_task(f, t, rs[rpos[mine]], pos[mine]))
+    _run_maybe_parallel(tasks, threads)
     return out
 
 
@@ -312,10 +310,7 @@ def _adjoint_values(
     rvals: np.ndarray, scenario: ImagingScenario, idx: np.ndarray, threads: int
 ) -> np.ndarray:
     plan = _plan(scenario)
-    n_tx, n_rx = scenario.array.n_tx, scenario.array.n_rx
     n = scenario.n_voxels
-    fi, rem = np.divmod(idx, n_tx * n_rx)
-    ti, ri = np.divmod(rem, n_rx)
 
     # The target is sum over channels of conj(p * u * v) * r. Conjugation
     # distributes exactly over complex multiply/add, so conjugate the small
@@ -323,12 +318,9 @@ def _adjoint_values(
     # the accumulated result once at the end. Per frequency the coefficients
     # form a (touched tx) x (touched rx) matrix, zero where a pair is absent.
     terms = []
-    for f in np.unique(fi):
-        sel = fi == f
-        ts, tpos = np.unique(ti[sel], return_inverse=True)
-        rs, rpos = np.unique(ri[sel], return_inverse=True)
+    for f, pos, ts, tpos, rs, rpos in _by_frequency(idx, scenario):
         coeffs = np.zeros((ts.size, rs.size), dtype=np.complex128)
-        coeffs[tpos, rpos] = np.conj(rvals[sel] * np.conj(plan.pulse_vals[f]))
+        coeffs[tpos, rpos] = np.conj(rvals[pos] * np.conj(plan.pulse_vals[f]))
         terms.append((f, _rows(ts), _rows(rs), coeffs))
 
     out = np.zeros(n, dtype=np.complex128)

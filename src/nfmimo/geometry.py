@@ -39,16 +39,16 @@ def _real(name: str, value, above: float | None = None, at_least: float | None =
     return v
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int >= 1: integers and integral floats pass, a fraction
-    is refused rather than truncated."""
+def _count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int >= ``minimum``: integers and integral floats pass, a
+    fraction is refused rather than truncated."""
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     ):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     v = int(value)
-    if v < 1:
-        raise ValueError(f"{name} must be >= 1, got {v}")
+    if v < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {v}")
     return v
 
 
@@ -157,8 +157,8 @@ class VoxelGrid:
     """Regular voxel grid given by scene center, total extent, and dims.
 
     Spacing per axis is extent/(dims-1); a dims=1 axis must have extent 0.
-    Voxel (ix, iy, iz) sits at center - extent/2 + (ix*dx, iy*dy, iz*dz) and
-    flattens x-fastest: n = ix + nx*(iy + ny*iz).
+    Voxel (ix, iy, iz) sits at center - extent/2 + (ix*dx, iy*dy, iz*dz);
+    ``shape`` gives its flat numbering.
     """
 
     center: Vec3
@@ -178,9 +178,14 @@ class VoxelGrid:
                 raise ValueError(f"axis {axis} has {d} voxels; extent must be > 0")
 
     @property
-    def n_voxels(self) -> int:
+    def shape(self) -> tuple[int, int, int]:
+        """(nz, ny, nx): voxels flatten in C order over this shape, x fastest."""
         nx, ny, nz = self.dims
-        return nx * ny * nz
+        return nz, ny, nx
+
+    @property
+    def n_voxels(self) -> int:
+        return math.prod(self.dims)
 
     @property
     def spacing(self) -> tuple[float, float, float]:
@@ -195,20 +200,17 @@ class VoxelGrid:
 
     def indices_of(self, n: int) -> tuple[int, int, int]:
         """Flat voxel index -> (ix, iy, iz)."""
-        nx, ny, _ = self.dims
         if not 0 <= n < self.n_voxels:
             raise IndexError(f"voxel index {n} out of range [0, {self.n_voxels})")
-        ix = n % nx
-        iy = (n // nx) % ny
-        iz = n // (nx * ny)
-        return ix, iy, iz
+        iz, iy, ix = np.unravel_index(n, self.shape)
+        return int(ix), int(iy), int(iz)
 
     def flat_index(self, ix: int, iy: int, iz: int) -> int:
         """(ix, iy, iz) -> flat voxel index, x fastest."""
         nx, ny, nz = self.dims
         if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
             raise IndexError(f"voxel index ({ix},{iy},{iz}) out of range for dims {self.dims}")
-        return ix + nx * (iy + ny * iz)
+        return int(np.ravel_multi_index((iz, iy, ix), self.shape))
 
 
 def voxel_center(n: int, grid: VoxelGrid) -> Vec3:
@@ -221,11 +223,7 @@ def voxel_center(n: int, grid: VoxelGrid) -> Vec3:
 
 def voxel_centers(grid: VoxelGrid) -> np.ndarray:
     """(N, 3) array of all voxel centers in flat order (x fastest)."""
-    nx, ny, nz = grid.dims
-    n = np.arange(grid.n_voxels)
-    ix = n % nx
-    iy = (n // nx) % ny
-    iz = n // (nx * ny)
+    iz, iy, ix = np.unravel_index(np.arange(grid.n_voxels), grid.shape)
     corner = grid.corner.as_array()
     dx, dy, dz = grid.spacing
     out = np.empty((grid.n_voxels, 3))
@@ -326,8 +324,14 @@ class ImagingScenario:
                 )
 
     @property
+    def channel_shape(self) -> tuple[int, int, int]:
+        """(F, T, R): channels flatten in C order over this shape, receiver
+        fastest."""
+        return self.frequencies.count, self.array.n_tx, self.array.n_rx
+
+    @property
     def n_channels(self) -> int:
-        return self.frequencies.count * self.array.n_tx * self.array.n_rx
+        return math.prod(self.channel_shape)
 
     @property
     def n_voxels(self) -> int:
@@ -336,22 +340,18 @@ class ImagingScenario:
 
 def channel_of(m: int, scenario: ImagingScenario) -> ChannelIndex:
     """Flat measurement index -> (fi, ti, ri). Receiver varies fastest."""
-    n_tx, n_rx = scenario.array.n_tx, scenario.array.n_rx
     if not 0 <= m < scenario.n_channels:
         raise IndexError(f"channel index {m} out of range [0, {scenario.n_channels})")
-    ri = m % n_rx
-    ti = (m // n_rx) % n_tx
-    fi = m // (n_rx * n_tx)
-    return ChannelIndex(fi=fi, ti=ti, ri=ri)
+    return ChannelIndex(*map(int, np.unravel_index(m, scenario.channel_shape)))
 
 
 def flat_channel(index: ChannelIndex, scenario: ImagingScenario) -> int:
-    """(fi, ti, ri) -> flat measurement index m = ri + #Rx*(ti + #Tx*fi)."""
-    n_tx, n_rx = scenario.array.n_tx, scenario.array.n_rx
-    n_f = scenario.frequencies.count
-    if not (0 <= index.fi < n_f and 0 <= index.ti < n_tx and 0 <= index.ri < n_rx):
-        raise IndexError(f"channel {index} out of range for ({n_f},{n_tx},{n_rx})")
-    return index.ri + n_rx * (index.ti + n_tx * index.fi)
+    """(fi, ti, ri) -> flat measurement index, receiver fastest."""
+    fti = (index.fi, index.ti, index.ri)
+    shape = scenario.channel_shape
+    if not all(0 <= i < n for i, n in zip(fti, shape)):
+        raise IndexError(f"channel {index} out of range for {shape}")
+    return int(np.ravel_multi_index(fti, shape))
 
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))

@@ -329,18 +329,17 @@ def export_slices_csv(volume: ReflectivityVolume, path_prefix) -> list[Path]:
 
     Rows run over y, columns over x; files are named <prefix>_z<k>.csv.
     """
-    nx, ny, nz = volume.grid.dims
-    mag = np.abs(volume.values).reshape(nz, ny, nx)
+    mag = np.abs(volume.values).reshape(volume.grid.shape)
     peak = float(mag.max())
     if peak > 0:
         mag = mag / peak
     prefix = str(path_prefix)
     paths = []
-    for k in range(nz):
+    for k, plane in enumerate(mag):
         out = Path(f"{prefix}_z{k}.csv")
         lines = [
             ",".join(format(v, ".17g") for v in row)
-            for row in mag[k]
+            for row in plane
         ]
         out.write_text("\n".join(lines) + "\n")
         paths.append(out)

@@ -21,7 +21,6 @@ PHANTOM_KINDS = ("points", "bar", "cross", "file")
 
 
 def _points(grid: VoxelGrid, k: int, rng: np.random.Generator) -> np.ndarray:
-    k = _count("points phantom k", k)
     if k > grid.n_voxels:
         raise ValueError(f"cannot place {k} scatterers in {grid.n_voxels} voxels")
     values = np.zeros(grid.n_voxels, dtype=np.complex128)
@@ -53,7 +52,12 @@ def make_phantom(spec: str, grid: VoxelGrid, rng_seed: int = 0) -> ReflectivityV
     """Build the reflectivity volume described by ``spec`` on ``grid``."""
     spec = spec.strip()
     if spec.startswith("points:"):
-        k = int(spec.split(":", 1)[1])
+        text = spec.split(":", 1)[1]
+        try:
+            k = float(text)
+        except ValueError:
+            k = text  # not a number: _count refuses it by name
+        k = _count(f"k of phantom spec {spec!r}", k)
         rng = np.random.default_rng(rng_seed)
         return ReflectivityVolume(_points(grid, k, rng), grid)
     if spec == "bar":

@@ -89,21 +89,13 @@ class MinibatchComposition:
         return self.n_f * self.n_tx * self.n_rx
 
     def validate_for(self, scenario: ImagingScenario) -> None:
-        limits = (
-            ("n_f", self.n_f, scenario.frequencies.count),
-            ("n_tx", self.n_tx, scenario.array.n_tx),
-            ("n_rx", self.n_rx, scenario.array.n_rx),
-        )
-        for name, v, cap in limits:
+        for name, cap in zip(("n_f", "n_tx", "n_rx"), scenario.channel_shape):
+            v = getattr(self, name)
             if v > cap:
                 raise ValueError(f"{name}={v} exceeds the scenario axis size {cap}")
 
     def is_full_for(self, scenario: ImagingScenario) -> bool:
-        return (
-            self.n_f == scenario.frequencies.count
-            and self.n_tx == scenario.array.n_tx
-            and self.n_rx == scenario.array.n_rx
-        )
+        return (self.n_f, self.n_tx, self.n_rx) == scenario.channel_shape
 
 
 @dataclass
@@ -126,6 +118,7 @@ class SolverConfig:
         self.eta = _real("eta", self.eta, above=0)
         self.alpha = _real("alpha", self.alpha, at_least=0)
         self.max_iters = _count("max_iters", self.max_iters)
+        self.rng_seed = _count("rng_seed", self.rng_seed, minimum=0)
         self.tol = _real("tol", self.tol, above=0)
         if self.time_budget_s is not None:
             self.time_budget_s = _real("time_budget_s", self.time_budget_s, above=0)
@@ -149,9 +142,13 @@ class SolveReport:
 
 
 def _measurement_values(y, scenario: ImagingScenario) -> np.ndarray:
-    if not isinstance(y, MeasurementSet):
+    if isinstance(y, MeasurementSet):
+        matches = y.matches(scenario)
+    else:
+        # the fingerprint is taken from this scenario, so only the size can differ
         y = MeasurementSet.for_scenario(y, scenario)
-    if not y.matches(scenario):
+        matches = y.values.size == scenario.n_channels
+    if not matches:
         raise ValueError(
             f"measurement fingerprint or size does not match the scenario: {y.values.size} "
             f"values for {scenario.n_channels} channels (wrong scenario or stale measurement file)"
@@ -202,14 +199,11 @@ def sample_minibatch(
     composition.validate_for(scenario)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    n_tx, n_rx = scenario.array.n_tx, scenario.array.n_rx
-    fs = np.sort(rng.choice(scenario.frequencies.count, composition.n_f, replace=False))
+    n_f, n_tx, n_rx = scenario.channel_shape
+    fs = np.sort(rng.choice(n_f, composition.n_f, replace=False))
     ts = np.sort(rng.choice(n_tx, composition.n_tx, replace=False))
     rs = np.sort(rng.choice(n_rx, composition.n_rx, replace=False))
-    idx = (
-        rs[None, None, :]
-        + n_rx * (ts[None, :, None] + n_tx * fs[:, None, None])
-    )
+    idx = np.ravel_multi_index(np.ix_(fs, ts, rs), scenario.channel_shape)
     return ChannelSubset(idx.reshape(-1))
 
 

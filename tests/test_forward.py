@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import nfmimo.forward
 from nfmimo import (
     ArrayGeometry,
+    ChannelIndex,
     ChannelSubset,
     DenseCapError,
     FrequencyGrid,
@@ -353,6 +354,34 @@ class TestChannelSubset:
         sub = ChannelSubset(np.array([5, 1, 3]))
         assert sub.indices.tolist() == [5, 1, 3]
         assert len(sub) == 3
+
+
+class TestChannelSplit:
+    def test_split_decodes_every_channel_once(self, small_scenario, rng):
+        idx = rng.choice(small_scenario.n_channels, size=11, replace=False)  # unsorted
+        seen, freqs = [], []
+        for f, pos, ts, tpos, rs, rpos in nfmimo.forward._by_frequency(idx, small_scenario):
+            freqs.append(f)
+            seen.extend(pos)
+            assert np.all(np.diff(ts) > 0) and np.all(np.diff(rs) > 0)
+            for k, t, r in zip(pos, ts[tpos], rs[rpos]):
+                assert channel_of(int(idx[k]), small_scenario) == ChannelIndex(f, t, r)
+        assert freqs == sorted(set(freqs))
+        assert sorted(seen) == list(range(idx.size))
+
+    def test_forward_and_adjoint_share_the_split(self, small_scenario, rng, monkeypatch):
+        calls = []
+        split = nfmimo.forward._by_frequency
+
+        def counted(idx, scenario):
+            calls.append(idx.size)
+            return split(idx, scenario)
+
+        monkeypatch.setattr(nfmimo.forward, "_by_frequency", counted)
+        sub = rng.choice(small_scenario.n_channels, size=10, replace=False)
+        forward_apply(random_complex(rng, small_scenario.n_voxels), small_scenario, subset=sub)
+        adjoint_apply(random_complex(rng, 10), small_scenario, subset=sub)
+        assert calls == [10, 10]
 
 
 class TestSimulateMeasurements:

@@ -128,6 +128,21 @@ class TestVoxelGrid:
             assert np.allclose(centers[n], voxel_center(n, grid).as_array(), atol=0, rtol=0)
 
 
+class TestFlatOrderings:
+    def test_shapes_are_c_order_of_the_flat_numbering(self):
+        scn = preset_scenario("paper-v")
+        assert scn.channel_shape == (11, 16, 9)
+        assert scn.voxels.shape == (21, 61, 61)
+        channels = np.arange(scn.n_channels).reshape(scn.channel_shape)
+        assert channels[2, 5, 7] == flat_channel(ChannelIndex(2, 5, 7), scn)
+        voxels = np.arange(scn.n_voxels).reshape(scn.voxels.shape)
+        assert voxels[3, 4, 5] == scn.voxels.flat_index(5, 4, 3)
+        with pytest.raises(AttributeError):
+            scn.channel_shape = (1, 1, 1)
+        with pytest.raises(AttributeError):
+            scn.voxels.shape = (1, 1, 1)
+
+
 class TestChannelIndexing:
     def test_first_channel(self, tiny_scenario):
         assert channel_of(0, tiny_scenario) == ChannelIndex(0, 0, 0)

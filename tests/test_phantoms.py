@@ -1,0 +1,59 @@
+import numpy as np
+import pytest
+
+from nfmimo import ReflectivityVolume, Vec3, VoxelGrid, make_phantom
+from nfmimo.io import write_volume
+from conftest import random_complex
+
+# 9 x 7 x 3 voxels: the bar runs ix = 2..6 at (iy, iz) = (3, 1); the cross
+# adds iy = 1..5 at ix = 4, sharing one voxel with the bar
+GRID = VoxelGrid(center=Vec3(0.0, 0.0, 0.3), extent=(0.08, 0.06, 0.02), dims=(9, 7, 3))
+
+
+class TestPoints:
+    def test_integral_float_k_gives_the_same_bytes(self):
+        a = make_phantom("points:3", GRID, rng_seed=5).values
+        b = make_phantom("points:3.0", GRID, rng_seed=5).values
+        assert a.tobytes() == b.tobytes()
+        assert np.count_nonzero(a) == 3
+        assert np.allclose(np.abs(a[a != 0]), 1.0)
+
+    @pytest.mark.parametrize("spec", ["points:2.5", "points:abc", "points:", "points:0"])
+    def test_bad_k_refused_naming_the_spec(self, spec):
+        with pytest.raises(ValueError, match=f"phantom spec '{spec}'"):
+            make_phantom(spec, GRID)
+
+    def test_more_points_than_voxels_refused(self):
+        with pytest.raises(ValueError, match="cannot place"):
+            make_phantom(f"points:{GRID.n_voxels + 1}", GRID)
+
+
+class TestLines:
+    def test_bar(self):
+        values = make_phantom("bar", GRID).values
+        assert np.flatnonzero(values).tolist() == [GRID.flat_index(ix, 3, 1) for ix in range(2, 7)]
+
+    def test_cross(self):
+        values = make_phantom("cross", GRID).values
+        assert np.count_nonzero(values) == 9
+        assert all(values[GRID.flat_index(4, iy, 1)] == 1.0 for iy in range(1, 6))
+
+
+class TestFile:
+    def test_round_trip(self, tmp_path, rng):
+        truth = ReflectivityVolume(random_complex(rng, GRID.n_voxels), GRID)
+        write_volume(truth, tmp_path / "t.nfmv")
+        back = make_phantom(f"file:{tmp_path / 't.nfmv'}", GRID)
+        assert back.grid == GRID
+        assert back.values.tobytes() == truth.values.tobytes()
+
+    def test_other_dims_refused(self, tmp_path):
+        other = VoxelGrid(center=Vec3(0.0, 0.0, 0.3), extent=(0.08, 0.06, 0.0), dims=(9, 7, 1))
+        write_volume(ReflectivityVolume.zeros(other), tmp_path / "o.nfmv")
+        with pytest.raises(ValueError, match="do not match grid"):
+            make_phantom(f"file:{tmp_path / 'o.nfmv'}", GRID)
+
+
+def test_unknown_spec_refused():
+    with pytest.raises(ValueError, match="unknown phantom spec 'blob'"):
+        make_phantom("blob", GRID)

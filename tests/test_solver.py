@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nfmimo.forward
 from nfmimo import (
     DivergenceError,
     MinibatchComposition,
@@ -358,6 +359,18 @@ class TestPgmSolve:
         with pytest.raises(ValueError, match="measurement values must be finite"):
             pgm_solve(y, small_scenario, SolverConfig(max_iters=2))
 
+    def test_raw_array_hashes_the_scenario_once(self, small_scenario, rng, monkeypatch):
+        calls = []
+        fingerprint = nfmimo.forward.scenario_fingerprint
+        monkeypatch.setattr(
+            nfmimo.forward, "scenario_fingerprint", lambda scn: calls.append(1) or fingerprint(scn)
+        )
+        y = random_complex(rng, small_scenario.n_channels)
+        full_gradient(np.zeros(small_scenario.n_voxels), y, small_scenario)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="fingerprint or size does not match"):
+            full_gradient(np.zeros(small_scenario.n_voxels), y[:-1], small_scenario)
+
     def test_fingerprint_checked_for_measurement_sets(self, small_scenario, tiny_scenario, rng):
         mset = simulate_measurements(
             np.zeros(tiny_scenario.n_voxels), tiny_scenario, noise_sigma=1.0, rng_seed=0
@@ -433,11 +446,20 @@ class TestSolverConfig:
             {"max_iters": float("inf")},
             {"tol": True},
             {"eta": "0.1"},
+            {"rng_seed": 2.5},
+            {"rng_seed": True},
+            {"rng_seed": -1},
+            {"rng_seed": "3"},
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 3.0, np.int64(3)])
+    def test_whole_number_rng_seed_accepted(self, seed):
+        cfg = SolverConfig(rng_seed=seed)
+        assert cfg.rng_seed == seed and type(cfg.rng_seed) is int
 
     @pytest.mark.parametrize("max_iters", [3, 3.0, np.int64(3)])
     def test_integral_max_iters_accepted(self, max_iters):
