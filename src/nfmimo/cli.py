@@ -293,6 +293,7 @@ def _cmd_reconstruct(args) -> int:
             "time_budget_s": args.time_budget_s,
             "iterations": report.iterations,
             "wall_time_s": report.wall_time_s,
+            "plan_s": report.plan_s,
             "termination": report.termination,
             "per_iteration": [asdict(r) for r in report.per_iteration],
         }

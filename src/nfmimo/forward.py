@@ -12,16 +12,20 @@ into per-transmitter and per-receiver phasor tables
     u[f,t,n] = exp(-j*w_f*dT[t,n]) / (2*sqrt(pi)*dT[t,n]),   w_f = 2*pi*f/c
 
 (and v[f,r,n] likewise), cached per scenario, so an application costs one
-elementwise product plus one length-N dot per channel.
+elementwise product plus one length-N dot per channel. The frequency grid is
+evenly spaced, so the tables are built by recurrence: row f+1 is row f times
+the step phasor exp(-j*dw*d), dw = 2*pi*spacing/c, and every 8th row is
+evaluated from the formula, so the rounding error cannot grow with F.
 
 Subset applications reuse the exact same cached rows and the same per-channel
 reduction as the full application, so restricting to a subset is bit-exact.
 The adjoint runs over tiles of a few thousand voxels, one task each. Per
 frequency, a (touched Tx) x (touched Rx) matrix of residual coefficients,
-zero where a pair is absent, multiplies the tile's receiver rows, and the
-transmitter rows reduce the product; no whole table row is copied. Each voxel
-is summed by one task in ascending frequency order, so the adjoint is
-bit-identical for every worker-thread count.
+zero where a pair is absent, multiplies the tile's receiver rows; the product
+is scaled in place by the tile's transmitter rows and summed over the
+transmitters. No whole table row is copied. Each voxel is summed by one task
+in ascending frequency order, so the adjoint is bit-identical for every
+worker-thread count.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .geometry import (
     ImagingScenario,
     SingularityError,
     VoxelGrid,
+    _count,
     _real,
     channel_of,
     scenario_fingerprint,
@@ -195,12 +200,16 @@ class _OperatorPlan:
     rx_tab: np.ndarray  # (F, R, N) complex
 
 
+_ANCHOR = 8  # table rows per directly evaluated row; the rest by recurrence
+
+
 @lru_cache(maxsize=4)
 def _plan(scenario: ImagingScenario) -> _OperatorPlan:
     freqs = scenario.frequencies.values()
     pulse_vals = scenario.pulse.evaluate(freqs)
     centers = voxel_centers(scenario.voxels)
     w = 2.0 * math.pi * freqs / scenario.c
+    dw = 2.0 * math.pi * scenario.frequencies.spacing / scenario.c
 
     def tables(positions: np.ndarray) -> np.ndarray:
         k, n = positions.shape[0], centers.shape[0]
@@ -208,8 +217,13 @@ def _plan(scenario: ImagingScenario) -> _OperatorPlan:
         for a in range(k):
             d = np.sqrt(np.sum((centers - positions[a]) ** 2, axis=1))
             amp = 1.0 / (2.0 * math.sqrt(math.pi) * d)
+            step = np.exp(-1j * dw * d)
             for fi in range(freqs.size):
-                tab[fi, a] = np.exp(-1j * w[fi] * d) * amp
+                if fi % _ANCHOR == 0:
+                    # re-anchor so the recurrence's rounding error cannot grow with F
+                    tab[fi, a] = np.exp(-1j * w[fi] * d) * amp
+                else:
+                    np.multiply(tab[fi - 1, a], step, out=tab[fi, a])
         return tab
 
     return _OperatorPlan(
@@ -331,7 +345,8 @@ def _adjoint_values(
         def task():
             for f, ts, rs, coeffs in terms:
                 inner = coeffs @ plan.rx_tab[f, rs, a:b]
-                out[a:b] += np.einsum("tn,tn->n", plan.tx_tab[f, ts, a:b], inner)
+                inner *= plan.tx_tab[f, ts, a:b]
+                out[a:b] += inner.sum(axis=0)
 
         return task
 
@@ -378,6 +393,7 @@ def simulate_measurements(
     noise_sigma=0 the clean forward application is returned bit-exactly.
     """
     sigma = _real("noise_sigma", noise_sigma, at_least=0)
+    rng_seed = _count("rng_seed", rng_seed, minimum=0)
     y = forward_apply(s, scenario)
     if sigma > 0:
         rng = np.random.default_rng(rng_seed)

@@ -365,7 +365,7 @@ def make_spiral_array(n_tx: int, n_rx: int, radius: float, rng_seed: int = 0) ->
     """
     n_tx, n_rx = _count("n_tx", n_tx), _count("n_rx", n_rx)
     radius = _real("radius", radius, above=0)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_count("rng_seed", rng_seed, minimum=0))
     theta_tx, theta_rx = rng.uniform(0.0, 2.0 * math.pi, size=2)
 
     def band(n, r_in, r_out, theta0):

@@ -50,6 +50,7 @@ def _cross(grid: VoxelGrid) -> np.ndarray:
 
 def make_phantom(spec: str, grid: VoxelGrid, rng_seed: int = 0) -> ReflectivityVolume:
     """Build the reflectivity volume described by ``spec`` on ``grid``."""
+    rng_seed = _count("rng_seed", rng_seed, minimum=0)
     spec = spec.strip()
     if spec.startswith("points:"):
         text = spec.split(":", 1)[1]

@@ -30,6 +30,7 @@ from .forward import (
     MeasurementSet,
     ReflectivityVolume,
     _channel_subset,
+    _plan,
     adjoint_apply,
     forward_apply,
 )
@@ -134,9 +135,13 @@ class IterationRecord:
 
 @dataclass
 class SolveReport:
+    """``wall_time_s`` covers the iterations only; ``plan_s`` is the time spent
+    fetching or building the operator plan before them (near 0 when cached)."""
+
     volume: ReflectivityVolume
     iterations: int
     wall_time_s: float
+    plan_s: float
     per_iteration: list[IterationRecord] = field(default_factory=list)
     termination: str = TERMINATION_MAX_ITERS
 
@@ -194,11 +199,12 @@ def sample_minibatch(
     """Draw the Cartesian-product minibatch for one iteration.
 
     Each axis is sampled uniformly without replacement and sorted, so the
-    full composition reproduces all M channels in canonical order.
+    full composition reproduces all M channels in canonical order. ``rng`` is
+    a numpy Generator or a whole-number seed >= 0.
     """
     composition.validate_for(scenario)
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(_count("rng", rng, minimum=0))
     n_f, n_tx, n_rx = scenario.channel_shape
     fs = np.sort(rng.choice(n_f, composition.n_f, replace=False))
     ts = np.sort(rng.choice(n_tx, composition.n_tx, replace=False))
@@ -256,6 +262,10 @@ def _solve(
     termination = TERMINATION_MAX_ITERS
     iterations = 0
 
+    # the plan is ready before the clock starts, so the time budget and
+    # wall_time_s cover iterations only
+    t_plan = time.perf_counter()
+    _plan(scenario)
     t_start = time.perf_counter()
     for k in range(1, config.max_iters + 1):
         t_iter = time.perf_counter()
@@ -294,6 +304,7 @@ def _solve(
         volume=ReflectivityVolume(s, scenario.voxels),
         iterations=iterations,
         wall_time_s=time.perf_counter() - t_start,
+        plan_s=t_start - t_plan,
         per_iteration=records,
         termination=termination,
     )
@@ -344,7 +355,7 @@ def lipschitz_estimate(
     This is the Lipschitz constant of the data-fidelity gradient; step sizes
     below its inverse make the full-batch iteration non-expansive.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_count("rng_seed", rng_seed, minimum=0))
     n = scenario.n_voxels
     m = scenario.n_channels
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -219,6 +219,7 @@ class TestReconstruct:
         assert {"iter", "magnitude_change", "elapsed_seconds", "batch_size"} <= set(
             doc["per_iteration"][0]
         )
+        assert doc["plan_s"] >= 0.0
 
     def test_spgm_requires_batch(self, small_files, tmp_path):
         code = main(

@@ -29,6 +29,7 @@ from nfmimo import (
     minibatch_gradient,
     sample_minibatch,
     simulate_measurements,
+    voxel_centers,
 )
 from conftest import oracle_dense_matrix, random_complex
 
@@ -301,6 +302,48 @@ class TestAdjointTiles:
         assert peak < 3 * scn.n_voxels * 16
 
 
+def stepped_scenario(count: int) -> ImagingScenario:
+    """1 Tx x 2 Rx over ``count`` frequencies in 1-3 GHz, 4x3x2 voxels about
+    0.12 m away. Phases stay within a few radians, so the direct formula's
+    own rounding (about 1e-15) is far below the recurrence tests' bounds."""
+    return ImagingScenario(
+        array=make_spiral_array(1, 2, 0.05, rng_seed=5),
+        frequencies=FrequencyGrid(1e9, 3e9 if count > 1 else 1e9, count),
+        voxels=VoxelGrid(center=Vec3(0, 0, 0.12), extent=(0.04, 0.03, 0.02), dims=(4, 3, 2)),
+    )
+
+
+class TestPhasorRecurrence:
+    """The plan builds most table rows by multiplying the previous frequency's
+    row by a step phasor, re-evaluating the formula every _ANCHOR rows."""
+
+    # F=1 has no step, 9 crosses one anchor, 257 and 4097 cross many; on this
+    # scenario a recurrence that never re-anchors drifts by about 1e-16 per
+    # row (2.5e-14 at F=257) and crosses the bound between F=1025 and 2049
+    @pytest.mark.parametrize("count", [1, 2, 9, 257, 4097])
+    def test_tables_match_the_direct_formula(self, count):
+        scn = stepped_scenario(count)
+        plan = nfmimo.forward._plan(scn)
+        centers = voxel_centers(scn.voxels)
+        f, t, r = np.unravel_index(np.arange(scn.n_channels), scn.channel_shape)
+        got = plan.pulse_vals[f, None] * plan.tx_tab[f, t] * plan.rx_tab[f, r]
+        ref = np.array(
+            [nfmimo.forward._element_row(scn, m, centers) for m in range(scn.n_channels)]
+        )
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    def test_operator_matches_dense_oracle(self, rng):
+        scn = stepped_scenario(257)
+        dense = materialize_dense(scn)
+        s = random_complex(rng, scn.n_voxels)
+        y = forward_apply(s, scn)
+        assert np.linalg.norm(y - dense @ s) <= 1e-12 * np.linalg.norm(dense @ s)
+        r = random_complex(rng, scn.n_channels)
+        g = adjoint_apply(r, scn)
+        ref = dense.conj().T @ r
+        assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestChannelSubset:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -414,6 +457,13 @@ class TestSimulateMeasurements:
             np.zeros(1, dtype=complex), scn, noise_sigma=1.0, rng_seed=4
         )
         assert np.mean(np.abs(mset.values) ** 2) == pytest.approx(1.0, rel=0.05)
+
+    @pytest.mark.parametrize("seed", [True, -1, 2.5, "3"])
+    def test_rng_seed_must_be_a_whole_number(self, tiny_scenario, seed):
+        with pytest.raises(ValueError, match="rng_seed must be"):
+            simulate_measurements(
+                np.zeros(tiny_scenario.n_voxels), tiny_scenario, noise_sigma=0.1, rng_seed=seed
+            )
 
     def test_negative_sigma_rejected(self, tiny_scenario):
         with pytest.raises(ValueError):

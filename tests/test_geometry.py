@@ -208,6 +208,11 @@ class TestSpiralArray:
         with pytest.raises(ValueError, match="n_tx must be a whole number"):
             make_spiral_array(2.5, 3, 0.25)
 
+    @pytest.mark.parametrize("seed", [True, -1, 2.5, "3"])
+    def test_rng_seed_must_be_a_whole_number(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be"):
+            make_spiral_array(2, 2, 0.1, rng_seed=seed)
+
 
 class TestPulseSpectrum:
     def test_constant_is_flat(self):

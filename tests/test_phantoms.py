@@ -23,6 +23,11 @@ class TestPoints:
         with pytest.raises(ValueError, match=f"phantom spec '{spec}'"):
             make_phantom(spec, GRID)
 
+    @pytest.mark.parametrize("seed", [True, -1, 2.5, "3"])
+    def test_rng_seed_must_be_a_whole_number(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be"):
+            make_phantom("points:3", GRID, rng_seed=seed)
+
     def test_more_points_than_voxels_refused(self):
         with pytest.raises(ValueError, match="cannot place"):
             make_phantom(f"points:{GRID.n_voxels + 1}", GRID)

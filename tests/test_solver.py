@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -143,6 +144,11 @@ class TestSampleMinibatch:
             sample_minibatch(
                 MinibatchComposition(3, 1, 1), sampling_scenario, np.random.default_rng(0)
             )
+
+    @pytest.mark.parametrize("seed", [True, -1, 2.5, "3"])
+    def test_seed_must_be_a_whole_number(self, sampling_scenario, seed):
+        with pytest.raises(ValueError, match="rng must be"):
+            sample_minibatch(MinibatchComposition(1, 1, 1), sampling_scenario, seed)
 
     def test_composition_validation(self):
         with pytest.raises(ValueError):
@@ -346,6 +352,30 @@ class TestPgmSolve:
         assert report.termination == "time_budget"
         assert report.iterations >= 1
 
+    def test_clock_starts_after_the_plan_is_ready(self, rng, monkeypatch):
+        # a scenario of its own, so its plan is built inside the solve
+        scn = ImagingScenario(
+            array=make_spiral_array(2, 2, 0.1, rng_seed=8),
+            frequencies=FrequencyGrid(3e9, 5e9, 2),
+            voxels=VoxelGrid(center=Vec3(0, 0, 0.2), extent=(0.02, 0.02, 0), dims=(3, 3, 1)),
+        )
+        centers = nfmimo.forward.voxel_centers
+
+        def slow_centers(grid):
+            time.sleep(0.3)
+            return centers(grid)
+
+        nfmimo.forward._plan.cache_clear()
+        monkeypatch.setattr(nfmimo.forward, "voxel_centers", slow_centers)
+        y = random_complex(rng, scn.n_channels)
+        cfg = SolverConfig(max_iters=3, tol=1e-300, time_budget_s=0.25)
+        report = pgm_solve(y, scn, cfg)
+        assert report.plan_s >= 0.3
+        assert report.wall_time_s < 0.25
+        # the build does not use up the time budget
+        assert report.termination == "max_iters" and report.iterations == 3
+        assert pgm_solve(y, scn, cfg).plan_s < 0.3  # cached
+
     def test_max_iters_termination(self, small_scenario, rng):
         y = random_complex(rng, small_scenario.n_channels)
         report = pgm_solve(y, small_scenario, SolverConfig(max_iters=3, tol=1e-300))
@@ -430,6 +460,11 @@ class TestLipschitzEstimate:
         # 0 used to return an estimate of 0.0 and 2.5 a bare TypeError
         with pytest.raises(ValueError, match="n_iters must be"):
             lipschitz_estimate(tiny_scenario, n_iters=n_iters)
+
+    @pytest.mark.parametrize("seed", [True, -1, 2.5, "3"])
+    def test_rng_seed_must_be_a_whole_number(self, tiny_scenario, seed):
+        with pytest.raises(ValueError, match="rng_seed must be"):
+            lipschitz_estimate(tiny_scenario, n_iters=2, rng_seed=seed)
 
 
 class TestSolverConfig:
