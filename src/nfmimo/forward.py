@@ -97,7 +97,6 @@ class MeasurementSet:
 
     values: np.ndarray
     fingerprint: bytes
-    noise_sigma: float | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -108,8 +107,6 @@ class MeasurementSet:
         self.values = vals
         if len(self.fingerprint) != 32:
             raise ValueError("fingerprint must be 32 bytes")
-        if self.noise_sigma is not None:
-            self.noise_sigma = _real("noise_sigma", self.noise_sigma, at_least=0)
 
     def matches(self, scenario: ImagingScenario) -> bool:
         return (
@@ -118,10 +115,8 @@ class MeasurementSet:
         )
 
     @classmethod
-    def for_scenario(
-        cls, values, scenario: ImagingScenario, noise_sigma: float | None = None
-    ) -> "MeasurementSet":
-        return cls(values, scenario_fingerprint(scenario), noise_sigma)
+    def for_scenario(cls, values, scenario: ImagingScenario) -> "MeasurementSet":
+        return cls(values, scenario_fingerprint(scenario))
 
 
 @dataclass(eq=False)
@@ -131,7 +126,8 @@ class ChannelSubset:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices).ravel()
+        # a copy, so that a caller's later edit cannot undo the checks below
+        idx = np.array(self.indices).ravel()
         if idx.size < 1:
             raise ValueError("channel subset must be non-empty")
         if not np.issubdtype(idx.dtype, np.integer):
@@ -251,7 +247,7 @@ def _channel_subset(subset, scenario: ImagingScenario) -> ChannelSubset:
     if subset is None:
         subset = np.arange(scenario.n_channels, dtype=np.int64)
     if not isinstance(subset, ChannelSubset):
-        subset = ChannelSubset(np.asarray(subset))
+        subset = ChannelSubset(subset)
     idx = subset.indices
     if np.any(idx >= scenario.n_channels):
         raise IndexError(
@@ -400,6 +396,4 @@ def simulate_measurements(
         m = scenario.n_channels
         noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         y = y + (sigma / math.sqrt(2.0)) * noise
-    return MeasurementSet(
-        values=y, fingerprint=scenario_fingerprint(scenario), noise_sigma=sigma
-    )
+    return MeasurementSet.for_scenario(y, scenario)

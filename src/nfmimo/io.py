@@ -1,12 +1,15 @@
 """Bit-exact file formats: binary volumes and measurements, JSON scenarios,
 and CSV slice export for plotting.
 
-Binary layout (all little-endian):
+Both binary formats share one container (all little-endian):
 
-  volume       "NFMV" | u16 version | u32 nx, ny, nz | N complex entries as
-               float64 (re, im) pairs in flat x-fastest order | u64 checksum
-  measurements "NFMS" | u16 version | u32 M | 32-byte scenario fingerprint |
-               M complex float64 pairs in flat channel order | u64 checksum
+  magic | u16 version | header fields | N complex entries as float64
+  (re, im) pairs | u64 checksum
+
+  volume       magic "NFMV", header u32 nx, ny, nz; N = nx*ny*nz entries
+               in flat x-fastest order
+  measurements magic "NFMS", header u32 M | 32-byte scenario fingerprint;
+               N = M entries in flat channel order
 
 The checksum is the sum of the payload bytes modulo 2^64. Readers validate
 lengths before touching the payload and reject non-finite payload values, so
@@ -31,7 +34,6 @@ from .geometry import (
     Vec3,
     VoxelGrid,
     dumps_canonical,
-    scenario_fingerprint,
     scenario_to_document,
 )
 
@@ -90,50 +92,51 @@ class FingerprintMismatchError(FormatError):
 
 
 def _checksum(payload: bytes) -> int:
-    if not payload:
-        return 0
     return int(np.frombuffer(payload, dtype=np.uint8).sum(dtype=np.uint64))
 
 
-def _complex_payload(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<c16").tobytes()
+def _write(path, header: bytes, values: np.ndarray) -> None:
+    payload = np.ascontiguousarray(values, dtype="<c16").tobytes()
+    Path(path).write_bytes(header + payload + _CHECKSUM.pack(_checksum(payload)))
 
 
-def _split_file(data: bytes, header_size: int, count: int, what: str):
-    expected = header_size + 16 * count + _CHECKSUM.size
-    if len(data) != expected:
+def _read(path, layout: struct.Struct, magic: bytes, what: str, count):
+    """Check a container file and return ``(header fields, values)``.
+
+    ``layout`` unpacks magic, version and the header fields; ``count`` maps
+    the header fields to the number of complex entries."""
+    data = Path(path).read_bytes()
+    if len(data) < layout.size:
+        raise TruncatedFileError(f"{what} file too short for its header")
+    file_magic, version, *fields = layout.unpack_from(data)
+    if file_magic != magic:
+        raise BadMagicError(f"not a {what} file (magic {file_magic!r})")
+    if version != FORMAT_VERSION:
+        raise VersionError(f"unsupported {what} format version {version}")
+    end = layout.size + 16 * count(fields)
+    if len(data) != end + _CHECKSUM.size:
         raise TruncatedFileError(
-            f"{what} file holds {len(data)} bytes, expected {expected}"
+            f"{what} file holds {len(data)} bytes, expected {end + _CHECKSUM.size}"
         )
-    payload = data[header_size : header_size + 16 * count]
-    (stored,) = _CHECKSUM.unpack_from(data, header_size + 16 * count)
+    payload = data[layout.size : end]
+    (stored,) = _CHECKSUM.unpack_from(data, end)
     if stored != _checksum(payload):
         raise ChecksumError(f"{what} payload checksum mismatch")
     values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     if not np.all(np.isfinite(values)):
         raise FormatError(f"{what} payload holds non-finite values")
-    return values
+    return fields, values
 
 
-def _check_header(data: bytes, magic: bytes, header_size: int, what: str) -> None:
-    if len(data) < header_size:
-        raise TruncatedFileError(f"{what} file too short for its header")
-    if data[:4] != magic:
-        raise BadMagicError(f"not a {what} file (magic {data[:4]!r})")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != FORMAT_VERSION:
-        raise VersionError(f"unsupported {what} format version {version}")
+def _voxel_count(dims) -> int:
+    nx, ny, nz = dims
+    if min(dims) < 1:
+        raise SchemaError(f"volume dims must be >= 1, got ({nx},{ny},{nz})")
+    return nx * ny * nz
 
 
 def write_volume(volume: ReflectivityVolume, path) -> None:
-    nx, ny, nz = volume.grid.dims
-    payload = _complex_payload(volume.values)
-    blob = (
-        _VOL_HEADER.pack(VOLUME_MAGIC, FORMAT_VERSION, nx, ny, nz)
-        + payload
-        + _CHECKSUM.pack(_checksum(payload))
-    )
-    Path(path).write_bytes(blob)
+    _write(path, _VOL_HEADER.pack(VOLUME_MAGIC, FORMAT_VERSION, *volume.grid.dims), volume.values)
 
 
 def read_volume(path, grid: VoxelGrid | None = None) -> ReflectivityVolume:
@@ -143,12 +146,7 @@ def read_volume(path, grid: VoxelGrid | None = None) -> ReflectivityVolume:
     geometry (dims are checked), otherwise a unit-spacing grid centered at
     the origin is used.
     """
-    data = Path(path).read_bytes()
-    _check_header(data, VOLUME_MAGIC, _VOL_HEADER.size, "volume")
-    _, _, nx, ny, nz = _VOL_HEADER.unpack_from(data)
-    if min(nx, ny, nz) < 1:
-        raise SchemaError(f"volume dims must be >= 1, got ({nx},{ny},{nz})")
-    values = _split_file(data, _VOL_HEADER.size, nx * ny * nz, "volume")
+    (nx, ny, nz), values = _read(path, _VOL_HEADER, VOLUME_MAGIC, "volume", _voxel_count)
     if grid is None:
         grid = VoxelGrid(
             center=Vec3(0.0, 0.0, 0.0),
@@ -161,49 +159,43 @@ def read_volume(path, grid: VoxelGrid | None = None) -> ReflectivityVolume:
 
 
 def write_measurements(measurements: MeasurementSet, path) -> None:
-    payload = _complex_payload(measurements.values)
-    blob = (
-        _MEAS_HEADER.pack(
-            MEASUREMENT_MAGIC,
-            FORMAT_VERSION,
-            measurements.values.size,
-            measurements.fingerprint,
-        )
-        + payload
-        + _CHECKSUM.pack(_checksum(payload))
+    header = _MEAS_HEADER.pack(
+        MEASUREMENT_MAGIC, FORMAT_VERSION, measurements.values.size, measurements.fingerprint
     )
-    Path(path).write_bytes(blob)
+    _write(path, header, measurements.values)
 
 
 def read_measurements(path, scenario: ImagingScenario | None = None) -> MeasurementSet:
-    """Load a measurement file; with ``scenario`` given, refuse fingerprint
-    mismatches (the measurements were made for a different scenario)."""
-    data = Path(path).read_bytes()
-    _check_header(data, MEASUREMENT_MAGIC, _MEAS_HEADER.size, "measurement")
-    _, _, m_count, fingerprint = _MEAS_HEADER.unpack_from(data)
-    values = _split_file(data, _MEAS_HEADER.size, m_count, "measurement")
-    if scenario is not None:
-        if fingerprint != scenario_fingerprint(scenario):
-            raise FingerprintMismatchError(
-                "measurement fingerprint does not match the scenario"
-            )
-        if m_count != scenario.n_channels:
-            raise FingerprintMismatchError(
-                f"file holds {m_count} channels, scenario defines {scenario.n_channels}"
-            )
-    return MeasurementSet(values=values, fingerprint=fingerprint)
+    """Load a measurement file; with ``scenario`` given, refuse a file whose
+    fingerprint or channel count differs (the measurements were made for a
+    different scenario)."""
+    (_, fingerprint), values = _read(
+        path, _MEAS_HEADER, MEASUREMENT_MAGIC, "measurement", lambda fields: fields[0]
+    )
+    measurements = MeasurementSet(values=values, fingerprint=fingerprint)
+    if scenario is not None and not measurements.matches(scenario):
+        raise FingerprintMismatchError(
+            f"measurements ({values.size} channels) were made for a different scenario"
+        )
+    return measurements
 
 
 # --- scenario JSON documents ------------------------------------------------
 
 
-def _require_keys(doc: dict, allowed: set[str], required: set[str], path: str) -> None:
+def _object(doc, keys: set[str], path: str) -> dict:
+    """A JSON object at ``path`` ("" for the whole document) holding exactly
+    ``keys``; the message names the offending key by its full path."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path or 'scenario document'} must be a JSON object")
+    prefix = f"{path}." if path else ""
     for key in doc:
-        if key not in allowed:
-            raise SchemaError(f"unknown key {path}{key}")
-    for key in required:
+        if key not in keys:
+            raise SchemaError(f"unknown key {prefix}{key}")
+    for key in sorted(keys):  # the same key is named on every run
         if key not in doc:
-            raise SchemaError(f"missing key {path}{key}")
+            raise SchemaError(f"missing key {prefix}{key}")
+    return doc
 
 
 def _number(value, path: str, integer: bool = False):
@@ -223,25 +215,22 @@ def _numbers(value, path: str, n: int | None = None, integer: bool = False) -> l
     return [_number(v, f"{path}[{i}]", integer) for i, v in enumerate(value)]
 
 
-def _parse_pulse(doc, path: str):
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path[:-1]} must be an object")
-    mode = doc.get("mode")
+def _parse_pulse(doc):
+    mode = doc.get("mode") if isinstance(doc, dict) else None
     if mode == "constant":
-        _require_keys(doc, {"mode", "value"}, {"mode", "value"}, path)
-        return ConstantPulse(complex(*_numbers(doc["value"], path + "value", 2)))
+        _object(doc, {"mode", "value"}, "pulse")
+        return ConstantPulse(complex(*_numbers(doc["value"], "pulse.value", 2)))
     if mode == "tabulated":
-        _require_keys(
-            doc, {"mode", "frequencies_hz", "values"}, {"mode", "frequencies_hz", "values"}, path
-        )
+        _object(doc, {"mode", "frequencies_hz", "values"}, "pulse")
         vals = doc["values"]
         if not isinstance(vals, list):
-            raise SchemaError(f"{path}values must be a list of [re, im] pairs")
+            raise SchemaError("pulse.values must be a list of [re, im] pairs")
         return TabulatedPulse(
-            tuple(_numbers(doc["frequencies_hz"], path + "frequencies_hz")),
-            tuple(complex(*_numbers(v, f"{path}values[{i}]", 2)) for i, v in enumerate(vals)),
+            tuple(_numbers(doc["frequencies_hz"], "pulse.frequencies_hz")),
+            tuple(complex(*_numbers(v, f"pulse.values[{i}]", 2)) for i, v in enumerate(vals)),
         )
-    raise SchemaError(f"{path}mode must be 'constant' or 'tabulated'")
+    _object(doc, {"mode"}, "pulse")  # a pulse that is no object or has no mode
+    raise SchemaError("pulse.mode must be 'constant' or 'tabulated'")
 
 
 def _parse_antennas(doc, key: str) -> tuple[Vec3, ...]:
@@ -252,20 +241,10 @@ def _parse_antennas(doc, key: str) -> tuple[Vec3, ...]:
 
 
 def document_to_scenario(doc: dict) -> ImagingScenario:
-    if not isinstance(doc, dict):
-        raise SchemaError("scenario document must be a JSON object")
     top = {"speed_of_light", "frequencies", "voxels", "pulse", "transmitters", "receivers"}
-    _require_keys(doc, top, top, "")
-    freq_doc = doc["frequencies"]
-    if not isinstance(freq_doc, dict):
-        raise SchemaError("frequencies must be an object")
-    _require_keys(
-        freq_doc, {"start_hz", "stop_hz", "count"}, {"start_hz", "stop_hz", "count"}, "frequencies."
-    )
-    vox_doc = doc["voxels"]
-    if not isinstance(vox_doc, dict):
-        raise SchemaError("voxels must be an object")
-    _require_keys(vox_doc, {"center", "extent", "dims"}, {"center", "extent", "dims"}, "voxels.")
+    _object(doc, top, "")
+    freq_doc = _object(doc["frequencies"], {"start_hz", "stop_hz", "count"}, "frequencies")
+    vox_doc = _object(doc["voxels"], {"center", "extent", "dims"}, "voxels")
     try:
         return ImagingScenario(
             array=ArrayGeometry(
@@ -282,7 +261,7 @@ def document_to_scenario(doc: dict) -> ImagingScenario:
                 extent=tuple(_numbers(vox_doc["extent"], "voxels.extent", 3)),
                 dims=tuple(_numbers(vox_doc["dims"], "voxels.dims", 3, integer=True)),
             ),
-            pulse=_parse_pulse(doc["pulse"], "pulse."),
+            pulse=_parse_pulse(doc["pulse"]),
             c=_number(doc["speed_of_light"], "speed_of_light"),
         )
     except FormatError:

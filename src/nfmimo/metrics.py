@@ -143,17 +143,10 @@ def write_sweep_csv(records: list[SweepRecord], path) -> None:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # rank of each group's last member
+    return (last - 0.5 * (counts - 1))[group]
 
 
 def spearman_rank(x, y) -> float:
@@ -162,6 +155,8 @@ def spearman_rank(x, y) -> float:
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1 or xa.size < 2:
         raise ValueError("spearman_rank needs two equal-length 1-D arrays of size >= 2")
+    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
+        raise ValueError("spearman_rank needs finite values")
     rx = _average_ranks(xa)
     ry = _average_ranks(ya)
     rx -= rx.mean()

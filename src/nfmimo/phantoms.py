@@ -15,9 +15,7 @@ import numpy as np
 from .forward import ReflectivityVolume
 from .geometry import VoxelGrid, _count
 
-__all__ = ["make_phantom", "PHANTOM_KINDS"]
-
-PHANTOM_KINDS = ("points", "bar", "cross", "file")
+__all__ = ["make_phantom"]
 
 
 def _points(grid: VoxelGrid, k: int, rng: np.random.Generator) -> np.ndarray:

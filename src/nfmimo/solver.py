@@ -99,7 +99,7 @@ class MinibatchComposition:
         return (self.n_f, self.n_tx, self.n_rx) == scenario.channel_shape
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Hyperparameters and run controls shared by PGM and SPGM.
 
@@ -116,13 +116,14 @@ class SolverConfig:
     time_budget_s: float | None = None
 
     def __post_init__(self):
-        self.eta = _real("eta", self.eta, above=0)
-        self.alpha = _real("alpha", self.alpha, at_least=0)
-        self.max_iters = _count("max_iters", self.max_iters)
-        self.rng_seed = _count("rng_seed", self.rng_seed, minimum=0)
-        self.tol = _real("tol", self.tol, above=0)
+        object.__setattr__(self, "eta", _real("eta", self.eta, above=0))
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha, at_least=0))
+        object.__setattr__(self, "max_iters", _count("max_iters", self.max_iters))
+        object.__setattr__(self, "rng_seed", _count("rng_seed", self.rng_seed, minimum=0))
+        object.__setattr__(self, "tol", _real("tol", self.tol, above=0))
         if self.time_budget_s is not None:
-            self.time_budget_s = _real("time_budget_s", self.time_budget_s, above=0)
+            budget = _real("time_budget_s", self.time_budget_s, above=0)
+            object.__setattr__(self, "time_budget_s", budget)
 
 
 @dataclass
@@ -356,6 +357,7 @@ def lipschitz_estimate(
     below its inverse make the full-batch iteration non-expansive.
     """
     rng = np.random.default_rng(_count("rng_seed", rng_seed, minimum=0))
+    tol = _real("tol", tol, above=0)
     n = scenario.n_voxels
     m = scenario.n_channels
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -129,6 +130,36 @@ class TestMeasurementFile:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(TruncatedFileError):
             read_measurements(path)
+
+
+class TestWrittenBytes:
+    """Read-back alone cannot see a writer that changes bytes both ways, so
+    the files written from fixed inputs are pinned by digest."""
+
+    @pytest.mark.parametrize(
+        "write, digest",
+        [
+            (
+                lambda scn, path: write_volume(
+                    ReflectivityVolume(np.arange(scn.n_voxels) * (0.5 - 0.25j), scn.voxels), path
+                ),
+                "a16c4bc05aa41d9f9ed513a560e3d157e1f22f4a8feb6266b7f49e1c7b117d6f",
+            ),
+            (
+                lambda scn, path: write_measurements(
+                    MeasurementSet.for_scenario(np.arange(scn.n_channels) * (1 - 2j) / 3, scn),
+                    path,
+                ),
+                "0d7443fc3f15159bb600de7cd35c22d9e930df5372ca5a1cc9460f0bf0276817",
+            ),
+            (write_scenario, "3f67ff6b26beeeae22b7eec38282724b892c48d083512dcc435f701b094a8a1c"),
+        ],
+        ids=["volume", "measurements", "scenario"],
+    )
+    def test_sha256_is_pinned(self, tiny_scenario, tmp_path, write, digest):
+        path = tmp_path / "out"
+        write(tiny_scenario, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def _nfmv_bytes(payload: bytes, dims: tuple[int, int, int]) -> bytes:
@@ -333,6 +364,19 @@ class TestScenarioJson:
         parent[pointer[-1]] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=re.escape(key_path)):
+            read_scenario(path)
+
+    @pytest.mark.parametrize("name", ["scenario document", "frequencies", "voxels", "pulse"])
+    def test_non_object_is_named(self, tmp_path, name):
+        path = tmp_path / "scn.json"
+        write_scenario(_tabulated_scenario(), path)
+        doc = json.loads(path.read_text())
+        if name == "scenario document":
+            doc = [doc]
+        else:
+            doc[name] = [doc[name]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^{name} must be a JSON object$"):
             read_scenario(path)
 
     def test_tabulated_pulse_round_trip(self, tmp_path):

@@ -18,7 +18,7 @@ from nfmimo import (
     spearman_rank,
     write_sweep_csv,
 )
-from nfmimo.metrics import SWEEP_CSV_HEADER
+from nfmimo.metrics import SWEEP_CSV_HEADER, _average_ranks
 from conftest import random_complex
 
 GRID4 = VoxelGrid(center=Vec3(0, 0, 0), extent=(0.3, 0, 0), dims=(4, 1, 1))
@@ -173,3 +173,28 @@ class TestSpearman:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             spearman_rank([1.0], [2.0])
+
+    @pytest.mark.parametrize(
+        "x", [[np.nan] * 4, [1, np.nan, 3, 4], [1, 2, np.inf, 4]], ids=["all-nan", "nan", "inf"]
+    )
+    def test_non_finite_rejected(self, x):
+        # NaN used to rank as a value: all-NaN input scored 1.0, one NaN 0.4
+        with pytest.raises(ValueError, match="finite"):
+            spearman_rank(x, [1, 2, 3, 4])
+
+    def test_ranks_match_the_sorted_scan(self, rng):
+        def scan(values):
+            order = np.argsort(values, kind="mergesort")
+            ranks = np.empty(values.size)
+            i = 0
+            while i < values.size:
+                j = i
+                while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+                    j += 1
+                ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            return ranks
+
+        for size in (2, 7, 50):
+            values = rng.integers(0, 5, size=size).astype(float)  # many ties
+            assert np.array_equal(_average_ranks(values), scan(values))

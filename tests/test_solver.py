@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import warnings
 
@@ -466,6 +467,12 @@ class TestLipschitzEstimate:
         with pytest.raises(ValueError, match="rng_seed must be"):
             lipschitz_estimate(tiny_scenario, n_iters=2, rng_seed=seed)
 
+    @pytest.mark.parametrize("tol", [True, "x", float("nan"), -1.0, 0.0])
+    def test_tol_must_be_a_positive_number(self, tiny_scenario, tol):
+        # NaN and negative values used to turn off early stopping silently
+        with pytest.raises(ValueError, match="tol must be"):
+            lipschitz_estimate(tiny_scenario, n_iters=2, tol=tol)
+
 
 class TestSolverConfig:
     @pytest.mark.parametrize(
@@ -490,6 +497,23 @@ class TestSolverConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("eta", -5.0),
+            ("alpha", -1.0),
+            ("max_iters", 0),
+            ("tol", float("nan")),
+            ("rng_seed", -1),
+            ("time_budget_s", 0.0),
+            ("composition", None),
+        ],
+    )
+    def test_fields_cannot_be_reassigned(self, name, value):
+        cfg = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
 
     @pytest.mark.parametrize("seed", [0, 3.0, np.int64(3)])
     def test_whole_number_rng_seed_accepted(self, seed):
