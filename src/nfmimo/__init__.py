@@ -1,5 +1,5 @@
 """nfmimo: matrix-free near-field MIMO radar simulation and l1-regularized
-3D reconstruction via proximal gradient iterations, full-batch or stochastic."""
+3D reconstruction via proximal gradient iterations, full-batch or minibatch."""
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ from .solver import (
     MinibatchComposition,
     SolveReport,
     SolverConfig,
-    check_termination,
     data_fidelity,
     full_gradient,
     lipschitz_estimate,

@@ -77,6 +77,15 @@ _INT_TRIPLE = _list_arg(int, 3)
 _FLOAT_TRIPLE = _list_arg(float, 3)
 
 
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    """The step and stopping flags of every solving command, with
+    SolverConfig's defaults."""
+    p.add_argument("--eta", type=float, default=SolverConfig.eta, help="gradient step size")
+    p.add_argument("--alpha", type=float, default=SolverConfig.alpha, help="per-iteration l1 weight")
+    p.add_argument("--tol", type=float, default=SolverConfig.tol, help="relative magnitude-change stop")
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nfmimo",
@@ -122,12 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurements", required=True)
     p.add_argument("--method", choices=["pgm", "spgm"], required=True)
     p.add_argument("--batch", type=_INT_TRIPLE, default=None, help="minibatch f,tx,rx (spgm)")
-    p.add_argument("--eta", type=float, default=1e-3, help="gradient step size")
-    p.add_argument("--alpha", type=float, default=4e-5, help="per-iteration l1 weight")
-    p.add_argument("--tol", type=float, default=1e-3, help="relative magnitude-change stop")
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--time-budget-s", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_solver_flags(p)
+    p.add_argument("--time-budget-s", type=float, default=SolverConfig.time_budget_s)
+    p.add_argument("--seed", type=int, default=SolverConfig.rng_seed)
     p.add_argument("--allow-fingerprint-mismatch", action="store_true")
     p.add_argument("--out", required=True, help="output volume file")
     p.add_argument("--report", default=None, help="optional JSON solve report path")
@@ -145,10 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compositions", type=_list_arg(_INT_TRIPLE, sep=";"), required=True,
                    help="semicolon-separated f,tx,rx triples, e.g. '4,4,3;11,16,9'")
     p.add_argument("--seeds", type=_list_arg(int), required=True, help="comma-separated seeds")
-    p.add_argument("--eta", type=float, default=1e-3)
-    p.add_argument("--alpha", type=float, default=4e-5)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-iters", type=int, default=1000)
+    _add_solver_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=_cmd_benchmark)
 
@@ -275,11 +278,8 @@ def _cmd_reconstruct(args) -> int:
         composition=composition,
         time_budget_s=args.time_budget_s,
     )
-    y = measurements.values  # fingerprint already enforced at load
-    if args.method == "pgm":
-        report = pgm_solve(y, scenario, config)
-    else:
-        report = spgm_solve(y, scenario, config)
+    solve = pgm_solve if composition is None else spgm_solve
+    report = solve(measurements.values, scenario, config)  # fingerprint enforced at load
     write_volume(report.volume, args.out)
     if args.report:
         doc = {

@@ -39,7 +39,6 @@ import numpy as np
 
 from .geometry import (
     ImagingScenario,
-    SingularityError,
     VoxelGrid,
     _count,
     _real,
@@ -158,8 +157,6 @@ def _element_row(scenario: ImagingScenario, m: int, centers: np.ndarray) -> np.n
     rpos = scenario.array.receivers[ci.ri].as_array()
     d_t = np.sqrt(np.sum((centers - tpos) ** 2, axis=1))
     d_r = np.sqrt(np.sum((centers - rpos) ** 2, axis=1))
-    if np.any(d_t == 0.0) or np.any(d_r == 0.0):
-        raise SingularityError(f"voxel coincides with an antenna of channel {m}")
     phase = np.exp(-1j * (2.0 * math.pi / scenario.c) * f * (d_t + d_r))
     return p * phase / (4.0 * math.pi * d_t * d_r)
 
@@ -364,7 +361,7 @@ def forward_apply(s, scenario: ImagingScenario, subset=None, threads: int = 1) -
     """
     values = _volume_values(s, scenario)
     idx = _channel_subset(subset, scenario).indices
-    return _forward_values(values, scenario, idx, threads)
+    return _forward_values(values, scenario, idx, _count("threads", threads))
 
 
 def adjoint_apply(r, scenario: ImagingScenario, subset=None, threads: int = 1) -> np.ndarray:
@@ -373,7 +370,7 @@ def adjoint_apply(r, scenario: ImagingScenario, subset=None, threads: int = 1) -
     rvals = np.asarray(r, dtype=np.complex128)
     if rvals.shape != (idx.size,):
         raise ValueError(f"expected {idx.size} residual values, got shape {rvals.shape}")
-    return _adjoint_values(rvals, scenario, idx, threads)
+    return _adjoint_values(rvals, scenario, idx, _count("threads", threads))
 
 
 def simulate_measurements(

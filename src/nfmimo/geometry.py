@@ -213,24 +213,22 @@ class VoxelGrid:
         return int(np.ravel_multi_index((iz, iy, ix), self.shape))
 
 
-def voxel_center(n: int, grid: VoxelGrid) -> Vec3:
-    """Center of the voxel with flat index ``n``."""
-    ix, iy, iz = grid.indices_of(n)
+def _center(grid: VoxelGrid, ix, iy, iz) -> tuple:
+    """(x, y, z) of voxel (ix, iy, iz), for scalar or array indices alike."""
     corner = grid.corner
     dx, dy, dz = grid.spacing
-    return Vec3(corner.x + ix * dx, corner.y + iy * dy, corner.z + iz * dz)
+    return corner.x + ix * dx, corner.y + iy * dy, corner.z + iz * dz
+
+
+def voxel_center(n: int, grid: VoxelGrid) -> Vec3:
+    """Center of the voxel with flat index ``n``."""
+    return Vec3(*_center(grid, *grid.indices_of(n)))
 
 
 def voxel_centers(grid: VoxelGrid) -> np.ndarray:
     """(N, 3) array of all voxel centers in flat order (x fastest)."""
     iz, iy, ix = np.unravel_index(np.arange(grid.n_voxels), grid.shape)
-    corner = grid.corner.as_array()
-    dx, dy, dz = grid.spacing
-    out = np.empty((grid.n_voxels, 3))
-    out[:, 0] = corner[0] + ix * dx
-    out[:, 1] = corner[1] + iy * dy
-    out[:, 2] = corner[2] + iz * dz
-    return out
+    return np.stack(_center(grid, ix, iy, iz), axis=1)
 
 
 @dataclass(frozen=True)

@@ -294,8 +294,8 @@ def write_scenario(scenario: ImagingScenario, path) -> None:
 
 def read_scenario(path) -> ImagingScenario:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
     return document_to_scenario(doc)
 

@@ -59,11 +59,10 @@ def psnr_vs_reference(recon: ReflectivityVolume, reference: ReflectivityVolume) 
     """
     if recon.grid != reference.grid:
         raise ValueError("reconstruction and reference grids differ")
-    ref_mag = np.abs(reference.values)
-    if float(ref_mag.max()) == 0.0:
+    if not np.any(reference.values):
         raise ValueError("reference volume is identically zero; PSNR undefined")
     a = _normalized_magnitude(recon)
-    b = ref_mag / float(ref_mag.max())
+    b = _normalized_magnitude(reference)
     rmse = float(np.linalg.norm(a - b)) / math.sqrt(a.size)
     psnr = math.inf if rmse == 0.0 else 20.0 * math.log10(1.0 / rmse)
     return PsnrResult(psnr_db=psnr, rmse=rmse)

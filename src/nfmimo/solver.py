@@ -1,5 +1,5 @@
 """l1-regularized reconstruction by the proximal gradient method (PGM) and
-its stochastic minibatch variant (SPGM).
+its randomly sampled minibatch variant (SPGM).
 
 The data-fidelity objective is the per-channel mean squared error
 
@@ -48,7 +48,6 @@ __all__ = [
     "sample_minibatch",
     "soft_threshold",
     "relative_magnitude_change",
-    "check_termination",
     "pgm_solve",
     "spgm_solve",
     "lipschitz_estimate",
@@ -95,16 +94,15 @@ class MinibatchComposition:
             if v > cap:
                 raise ValueError(f"{name}={v} exceeds the scenario axis size {cap}")
 
-    def is_full_for(self, scenario: ImagingScenario) -> bool:
-        return (self.n_f, self.n_tx, self.n_rx) == scenario.channel_shape
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Hyperparameters and run controls shared by PGM and SPGM.
 
-    ``composition=None`` means full batch (plain PGM). ``alpha`` is the
-    per-iteration regularization weight (step size times the l1 weight).
+    ``composition`` alone picks the method: None is full batch (plain PGM),
+    a MinibatchComposition draws a fresh minibatch per iteration (SPGM).
+    ``alpha`` is the per-iteration regularization weight (step size times
+    the l1 weight).
     """
 
     eta: float = 1e-3
@@ -121,6 +119,10 @@ class SolverConfig:
         object.__setattr__(self, "max_iters", _count("max_iters", self.max_iters))
         object.__setattr__(self, "rng_seed", _count("rng_seed", self.rng_seed, minimum=0))
         object.__setattr__(self, "tol", _real("tol", self.tol, above=0))
+        if not isinstance(self.composition, (MinibatchComposition, type(None))):
+            raise ValueError(
+                f"composition must be a MinibatchComposition or None, got {self.composition!r}"
+            )
         if self.time_budget_s is not None:
             budget = _real("time_budget_s", self.time_budget_s, above=0)
             object.__setattr__(self, "time_budget_s", budget)
@@ -239,11 +241,6 @@ def relative_magnitude_change(s_prev, s_next) -> float:
     return float(np.linalg.norm(b - a)) / denom
 
 
-def check_termination(s_prev, s_next, tol: float) -> bool:
-    """True when the relative l2 change of entrywise magnitudes drops below tol."""
-    return relative_magnitude_change(s_prev, s_next) < tol
-
-
 # A diverging iterate overflows before DivergenceError reports it; the typed
 # error is the report, so numpy's overflow warnings stay silent.
 @np.errstate(over="ignore", invalid="ignore")
@@ -252,7 +249,6 @@ def _solve(
     scenario: ImagingScenario,
     config: SolverConfig,
     progress,
-    stochastic: bool,
 ) -> SolveReport:
     yv = _measurement_values(y, scenario)
     s = np.zeros(scenario.n_voxels, dtype=np.complex128)
@@ -270,10 +266,10 @@ def _solve(
     t_start = time.perf_counter()
     for k in range(1, config.max_iters + 1):
         t_iter = time.perf_counter()
-        if stochastic:
-            subset = sample_minibatch(config.composition, scenario, rng)
-        else:
+        if config.composition is None:
             subset = full
+        else:
+            subset = sample_minibatch(config.composition, scenario, rng)
         g = _gradient(s, yv, scenario, subset)
         s_next = soft_threshold(s - config.eta * g, config.alpha)
         change = relative_magnitude_change(s, s_next)
@@ -320,11 +316,12 @@ def pgm_solve(
     """Full-batch proximal gradient iterations
     s <- soft_threshold(s - eta * grad D(s), alpha), starting from zero."""
     config = config or SolverConfig()
-    if config.composition is not None and not config.composition.is_full_for(scenario):
+    if config.composition is not None:
         raise ValueError(
-            "pgm_solve needs a full-batch config; use spgm_solve for minibatches"
+            "pgm_solve needs a full-batch config (composition=None); use spgm_solve "
+            "for minibatches"
         )
-    return _solve(y, scenario, config, progress, stochastic=False)
+    return _solve(y, scenario, config, progress)
 
 
 def spgm_solve(
@@ -342,7 +339,7 @@ def spgm_solve(
     if config.composition is None:
         raise ValueError("spgm_solve requires config.composition")
     config.composition.validate_for(scenario)
-    return _solve(y, scenario, config, progress, stochastic=True)
+    return _solve(y, scenario, config, progress)
 
 
 def lipschitz_estimate(

@@ -94,8 +94,10 @@ class TestScenarioInit:
         (["benchmark", "--scenario", "scenario.json", "--measurements", "meas.nfms",
           "--compositions", "1,1,1;2,2,1", "--seeds", "1,2", "--out", "sweep.csv"],
          "48f65bd97fe6"),
+        (["reconstruct", "--scenario", "scenario.json", "--measurements", "meas.nfms",
+          "--method", "spgm", "--batch", "4,4,3", "--out", "r.nfmv"], "55a50d069c8e"),
     ],
-    ids=["scenario-init", "benchmark"],
+    ids=["scenario-init", "benchmark", "reconstruct"],
 )
 def test_flag_hash_is_stable(argv, config, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -513,6 +515,21 @@ class TestExitCodes:
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["info", "--scenario", str(tmp_path / "absent.json")]) == 1
+
+    def test_scenario_that_is_not_json_text_exits_one(self, tmp_path):
+        # 200 000 nested arrays overflow the JSON decoder's recursion limit
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200_000)
+        src = str(Path(nfmimo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nfmimo.cli", "info", "--scenario", str(bad)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "scenario file is not valid JSON" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_info_requires_scenario_flag(self):
         assert main(["info"]) == 2

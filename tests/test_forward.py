@@ -239,6 +239,20 @@ class TestAdjointApply:
         assert np.array_equal(g1, g4)
 
 
+@pytest.mark.parametrize("threads", [0, -1, True, 2.5, "2"])
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda scn, threads: forward_apply(np.zeros(scn.n_voxels), scn, threads=threads),
+        lambda scn, threads: adjoint_apply(np.zeros(scn.n_channels), scn, threads=threads),
+    ],
+    ids=["forward_apply", "adjoint_apply"],
+)
+def test_threads_must_be_a_count(tiny_scenario, apply, threads):
+    with pytest.raises(ValueError, match="threads must be"):
+        apply(tiny_scenario, threads)
+
+
 @pytest.fixture(scope="module")
 def tiled_scenario() -> ImagingScenario:
     """18 channels over 29x29x5 = 4205 voxels: more than one adjoint tile and

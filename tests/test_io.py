@@ -332,6 +332,18 @@ class TestScenarioJson:
         with pytest.raises(SchemaError):
             read_scenario(path)
 
+    def test_non_utf8_file_is_schema_error(self, tmp_path):
+        path = tmp_path / "scn.json"
+        path.write_bytes(b'{"version": "\xff"}')
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            read_scenario(path)
+
+    def test_deeply_nested_json_is_schema_error(self, tmp_path):
+        path = tmp_path / "scn.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            read_scenario(path)
+
     def test_nan_pulse_value_is_schema_error(self, tmp_path):
         path = tmp_path / "scn.json"
         write_scenario(_tabulated_scenario(), path)

@@ -12,7 +12,6 @@ from nfmimo import (
     DivergenceError,
     MinibatchComposition,
     SolverConfig,
-    check_termination,
     data_fidelity,
     forward_apply,
     full_gradient,
@@ -256,20 +255,20 @@ class TestSoftThreshold:
 class TestTermination:
     def test_identical_iterates(self, rng):
         s = random_complex(rng, 10)
-        assert check_termination(s, s, 1e-12)
+        assert relative_magnitude_change(s, s) < 1e-12
 
     def test_all_zero_iterates_guarded(self):
         z = np.zeros(5, dtype=complex)
-        assert check_termination(z, z, 1e-3)
+        assert relative_magnitude_change(z, z) < 1e-3
 
     def test_phase_only_change_counts_as_converged(self, rng):
         s = random_complex(rng, 10)
         rotated = s * np.exp(1j * rng.uniform(0, 2 * np.pi, 10))
-        assert check_termination(s, rotated, 1e-9)
+        assert relative_magnitude_change(s, rotated) < 1e-9
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            check_termination(np.zeros(3), np.zeros(4), 1e-3)
+            relative_magnitude_change(np.zeros(3), np.zeros(4))
 
     def test_relative_change_value(self):
         prev = np.array([1.0 + 0j, 0.0])
@@ -340,6 +339,12 @@ class TestPgmSolve:
 
     def test_rejects_partial_composition(self, small_scenario):
         cfg = SolverConfig(composition=MinibatchComposition(1, 1, 1))
+        with pytest.raises(ValueError, match="full-batch"):
+            pgm_solve(np.zeros(small_scenario.n_channels), small_scenario, cfg)
+
+    def test_rejects_full_composition(self, small_scenario):
+        # a composition means SPGM, even one that covers every channel
+        cfg = SolverConfig(composition=MinibatchComposition(*small_scenario.channel_shape))
         with pytest.raises(ValueError, match="full-batch"):
             pgm_solve(np.zeros(small_scenario.n_channels), small_scenario, cfg)
 
@@ -492,6 +497,9 @@ class TestSolverConfig:
             {"rng_seed": True},
             {"rng_seed": -1},
             {"rng_seed": "3"},
+            {"composition": (4, 4, 3)},
+            {"composition": [4, 4, 3]},
+            {"composition": "4,4,3"},
         ],
     )
     def test_invalid_configs(self, kwargs):
