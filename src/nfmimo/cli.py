@@ -294,6 +294,8 @@ def _cmd_reconstruct(args) -> int:
             "iterations": report.iterations,
             "wall_time_s": report.wall_time_s,
             "plan_s": report.plan_s,
+            "plan_cached": report.plan_cached,
+            "plan_bytes": report.plan_bytes,
             "termination": report.termination,
             "per_iteration": [asdict(r) for r in report.per_iteration],
         }

@@ -17,6 +17,14 @@ evenly spaced, so the tables are built by recurrence: row f+1 is row f times
 the step phasor exp(-j*dw*d), dw = 2*pi*spacing/c, and every 8th row is
 evaluated from the formula, so the rounding error cannot grow with F.
 
+The tables of every voxel (the plan, 16*F*(T+R)*N bytes) are built by the
+first adjoint on a scenario, by a solve before its clock starts, and by a
+forward of a volume with more than N/8 nonzero voxels; the 4 most recently
+used plans stay cached. Before a plan is cached, a forward of a sparser
+volume (a simulated phantom) builds the table columns of its nonzero voxels
+only, with the same recurrence, and runs the same per-channel dots over rows
+zero-padded to length N, so its output has the same bits as on the plan.
+
 Subset applications reuse the exact same cached rows and the same per-channel
 reduction as the full application, so restricting to a subset is bit-exact.
 The adjoint runs over tiles of a few thousand voxels, one task each. Per
@@ -31,9 +39,9 @@ worker-thread count.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -196,34 +204,55 @@ class _OperatorPlan:
 _ANCHOR = 8  # table rows per directly evaluated row; the rest by recurrence
 
 
-@lru_cache(maxsize=4)
-def _plan(scenario: ImagingScenario) -> _OperatorPlan:
+def _tables(scenario: ImagingScenario, positions: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Phasor table (F, antennas, centers) by the anchored frequency recurrence.
+
+    Every entry depends on its own antenna and voxel center alone, so a table
+    over some of the centers holds the same bits as those columns of a table
+    over all of them.
+    """
     freqs = scenario.frequencies.values()
-    pulse_vals = scenario.pulse.evaluate(freqs)
-    centers = voxel_centers(scenario.voxels)
     w = 2.0 * math.pi * freqs / scenario.c
     dw = 2.0 * math.pi * scenario.frequencies.spacing / scenario.c
+    tab = np.empty((freqs.size, positions.shape[0], centers.shape[0]), dtype=np.complex128)
+    for a, position in enumerate(positions):
+        d = np.sqrt(np.sum((centers - position) ** 2, axis=1))
+        amp = 1.0 / (2.0 * math.sqrt(math.pi) * d)
+        step = np.exp(-1j * dw * d)
+        for fi in range(freqs.size):
+            if fi % _ANCHOR == 0:
+                # re-anchor so the recurrence's rounding error cannot grow with F
+                tab[fi, a] = np.exp(-1j * w[fi] * d) * amp
+            else:
+                np.multiply(tab[fi - 1, a], step, out=tab[fi, a])
+    return tab
 
-    def tables(positions: np.ndarray) -> np.ndarray:
-        k, n = positions.shape[0], centers.shape[0]
-        tab = np.empty((freqs.size, k, n), dtype=np.complex128)
-        for a in range(k):
-            d = np.sqrt(np.sum((centers - positions[a]) ** 2, axis=1))
-            amp = 1.0 / (2.0 * math.sqrt(math.pi) * d)
-            step = np.exp(-1j * dw * d)
-            for fi in range(freqs.size):
-                if fi % _ANCHOR == 0:
-                    # re-anchor so the recurrence's rounding error cannot grow with F
-                    tab[fi, a] = np.exp(-1j * w[fi] * d) * amp
-                else:
-                    np.multiply(tab[fi - 1, a], step, out=tab[fi, a])
-        return tab
 
-    return _OperatorPlan(
-        pulse_vals=pulse_vals,
-        tx_tab=tables(scenario.array.tx_positions()),
-        rx_tab=tables(scenario.array.rx_positions()),
-    )
+# the 4 most recently used plans, least recent first; ask ``scenario in
+# _PLANS`` to learn whether a plan exists without building one
+_PLANS: dict[ImagingScenario, _OperatorPlan] = {}
+_PLANS_LOCK = threading.Lock()
+
+
+def _plan(scenario: ImagingScenario) -> _OperatorPlan:
+    # one lock around the lookup, the build and the eviction: a second thread
+    # neither sees the dict mid-update nor builds the same plan again
+    with _PLANS_LOCK:
+        plan = _PLANS.pop(scenario, None)
+        if plan is None:
+            centers = voxel_centers(scenario.voxels)
+            plan = _OperatorPlan(
+                pulse_vals=scenario.pulse.evaluate(scenario.frequencies.values()),
+                tx_tab=_tables(scenario, scenario.array.tx_positions(), centers),
+                rx_tab=_tables(scenario, scenario.array.rx_positions(), centers),
+            )
+        _PLANS[scenario] = plan
+        if len(_PLANS) > 4:
+            del _PLANS[next(iter(_PLANS))]
+        return plan
+
+
+_plan.cache_clear = _PLANS.clear
 
 
 def _volume_values(s, scenario: ImagingScenario) -> np.ndarray:
@@ -291,16 +320,51 @@ def _run_maybe_parallel(tasks, threads: int):
 def _forward_values(
     values: np.ndarray, scenario: ImagingScenario, idx: np.ndarray, threads: int
 ) -> np.ndarray:
-    plan = _plan(scenario)
+    n = scenario.n_voxels
+    # the cache is asked first, so a forward on a cached plan scans nothing
+    support = None if scenario in _PLANS else np.flatnonzero(values)
+    # Past N/8 nonzero voxels the support tables cost more than an eighth of
+    # a plan build, and so dense a volume is rarely the last forward on its
+    # scenario (a solve or a power iteration follows), so build the plan.
+    if support is None or 8 * support.size > n:
+        plan = _plan(scenario)
+        pulse_vals = plan.pulse_vals
+
+        def rows(f, t):
+            """u_t * s at frequency f, and a getter of the rows v_r."""
+            return plan.tx_tab[f, t] * values, plan.rx_tab[f].__getitem__
+
+    else:
+        centers = voxel_centers(scenario.voxels)[support]
+        pulse_vals = scenario.pulse.evaluate(scenario.frequencies.values())
+        tx_cols = _tables(scenario, scenario.array.tx_positions(), centers)
+        rx_cols = _tables(scenario, scenario.array.rx_positions(), centers)
+
+        # The support columns, scattered into zero-padded length-N rows: the
+        # products off the support are +-0 and every dot keeps its length,
+        # so the output has the plan path's bits. Each task pads into two
+        # rows of its own; holding all F*(T+R) or T+R of them would take
+        # tens of MB that the heap keeps resident after they are freed.
+        def rows(f, t):
+            w_row = np.zeros(n, dtype=np.complex128)
+            w_row[support] = tx_cols[f, t]
+            w_row *= values
+            rx_row = np.zeros(n, dtype=np.complex128)
+
+            def rx(r):
+                rx_row[support] = rx_cols[f, r]
+                return rx_row
+
+            return w_row, rx
+
     out = np.empty(idx.size, dtype=np.complex128)
 
     def make_task(f, t, receivers, pos):
         def task():
-            p = plan.pulse_vals[f]
-            w_row = plan.tx_tab[f, t] * values
-            rx_rows = plan.rx_tab[f]
+            p = pulse_vals[f]
+            w_row, rx_row = rows(f, t)
             for r, k in zip(receivers, pos):
-                out[k] = p * np.dot(w_row, rx_rows[r])
+                out[k] = p * np.dot(w_row, rx_row(r))
 
         return task
 

@@ -29,6 +29,7 @@ from .forward import (
     ChannelSubset,
     MeasurementSet,
     ReflectivityVolume,
+    _PLANS,
     _channel_subset,
     _plan,
     adjoint_apply,
@@ -139,12 +140,16 @@ class IterationRecord:
 @dataclass
 class SolveReport:
     """``wall_time_s`` covers the iterations only; ``plan_s`` is the time spent
-    fetching or building the operator plan before them (near 0 when cached)."""
+    fetching or building the operator plan before them (near 0 when cached).
+    ``plan_cached`` says whether the plan was cached before the solve and
+    ``plan_bytes`` is the size of its phasor tables and pulse values."""
 
     volume: ReflectivityVolume
     iterations: int
     wall_time_s: float
     plan_s: float
+    plan_cached: bool
+    plan_bytes: int
     per_iteration: list[IterationRecord] = field(default_factory=list)
     termination: str = TERMINATION_MAX_ITERS
 
@@ -262,7 +267,8 @@ def _solve(
     # the plan is ready before the clock starts, so the time budget and
     # wall_time_s cover iterations only
     t_plan = time.perf_counter()
-    _plan(scenario)
+    plan_cached = scenario in _PLANS
+    plan = _plan(scenario)
     t_start = time.perf_counter()
     for k in range(1, config.max_iters + 1):
         t_iter = time.perf_counter()
@@ -302,6 +308,8 @@ def _solve(
         iterations=iterations,
         wall_time_s=time.perf_counter() - t_start,
         plan_s=t_start - t_plan,
+        plan_cached=plan_cached,
+        plan_bytes=plan.pulse_vals.nbytes + plan.tx_tab.nbytes + plan.rx_tab.nbytes,
         per_iteration=records,
         termination=termination,
     )

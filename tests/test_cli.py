@@ -106,6 +106,31 @@ def test_flag_hash_is_stable(argv, config, tmp_path, monkeypatch, capsys):
 
 
 class TestSimulate:
+    def test_sparse_phantom_on_paper_v_builds_no_plan(self, tmp_path):
+        # with the 344 MB phasor-table plan the process peaks near 376 MB
+        scn_path = tmp_path / "paper-v.json"
+        assert main(["scenario-init", "--preset", "paper-v", "--out", str(scn_path)]) == 0
+        src = str(Path(nfmimo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        # A child's peak RSS starts at what it was forked from, and this test
+        # process may hold cached plans, so a small interpreter spawns the
+        # command and reports its exit code and peak (KiB on Linux).
+        runner = (
+            "import os, sys; pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ); "
+            "_, status, usage = os.wait4(pid, 0); "
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", runner, sys.executable, "-m", "nfmimo.cli", "simulate",
+             "--scenario", str(scn_path), "--phantom", "points:5", "--seed", "42",
+             "--snr-db", "30", "--out", str(tmp_path / "m.nfms")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        exit_code, peak_kib = map(int, proc.stdout.split()[-2:])
+        assert exit_code == 0
+        assert peak_kib < 150 * 1024
+
     def test_zero_noise_measurements_equal_forward_of_truth(self, small_files):
         scn = read_scenario(small_files["scenario"])
         mset = read_measurements(small_files["measurements"], scenario=scn)
@@ -222,6 +247,9 @@ class TestReconstruct:
             doc["per_iteration"][0]
         )
         assert doc["plan_s"] >= 0.0
+        assert isinstance(doc["plan_cached"], bool)
+        # 3 frequencies, 3 + 3 antennas, 50 voxels, 16 bytes per complex entry
+        assert doc["plan_bytes"] == 16 * 3 * (6 * 50 + 1)
 
     def test_spgm_requires_batch(self, small_files, tmp_path):
         code = main(

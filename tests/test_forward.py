@@ -23,10 +23,12 @@ from nfmimo import (
     channel_of,
     data_fidelity,
     forward_apply,
-    materialize_dense,
+    make_phantom,
     make_spiral_array,
+    materialize_dense,
     matrix_element,
     minibatch_gradient,
+    preset_scenario,
     sample_minibatch,
     simulate_measurements,
     voxel_centers,
@@ -304,7 +306,7 @@ class TestAdjointTiles:
             frequencies=FrequencyGrid(4e9, 8e9, 4),
             voxels=VoxelGrid(center=Vec3(0, 0, 0.5), extent=(0.2, 0.2, 0.1), dims=(41, 41, 24)),
         )
-        forward_apply(np.zeros(scn.n_voxels), scn)
+        nfmimo.forward._plan(scn)
         sub = sample_minibatch(MinibatchComposition(3, 4, 3), scn, 0)
         r = random_complex(rng, len(sub))
         tracemalloc.start()
@@ -356,6 +358,102 @@ class TestPhasorRecurrence:
         g = adjoint_apply(r, scn)
         ref = dense.conj().T @ r
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def sparse_scenario(array_seed: int = 6) -> ImagingScenario:
+    """3 Tx x 2 Rx over 10 frequencies (rows 8 and 9 follow an anchor),
+    8x8x4 = 256 voxels, so N/8 = 32."""
+    return ImagingScenario(
+        array=make_spiral_array(3, 2, 0.1, rng_seed=array_seed),
+        frequencies=FrequencyGrid(2e9, 6e9, 10),
+        voxels=VoxelGrid(center=Vec3(0, 0, 0.3), extent=(0.1, 0.1, 0.05), dims=(8, 8, 4)),
+    )
+
+
+def sparse_volume(n_voxels: int, support: int, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    s = np.zeros(n_voxels, dtype=complex)
+    s[rng.choice(n_voxels, size=support, replace=False)] = random_complex(rng, support)
+    return s
+
+
+def ragged_subset(scn: ImagingScenario) -> np.ndarray:
+    """An unsorted third of the channels: each frequency touches its own
+    transmitters and receivers."""
+    return np.random.default_rng(3).choice(scn.n_channels, size=scn.n_channels // 3, replace=False)
+
+
+def forward_both_ways(s, scn, subset=None):
+    """(support-column output with no plan cached, output on the cached plan)."""
+    nfmimo.forward._PLANS.pop(scn, None)
+    columns = forward_apply(s, scn, subset=subset)
+    assert scn not in nfmimo.forward._PLANS  # the support columns were enough
+    nfmimo.forward._plan(scn)
+    return columns, forward_apply(s, scn, subset=subset)
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    # the raw words: +0.0 and -0.0 differ here, as they do not for array_equal on floats
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSupportColumns:
+    """Before a plan is cached, a forward of a volume with at most N/8 nonzero
+    voxels builds its support's table columns only, with the plan's bits."""
+
+    @pytest.mark.parametrize("support", [0, 1, 5, 32], ids=["zero", "one", "few", "eighth"])
+    @pytest.mark.parametrize("ragged", [False, True], ids=["all", "ragged"])
+    def test_same_bits_as_the_plan(self, support, ragged):
+        scn = sparse_scenario()
+        assert 8 * support <= scn.n_voxels
+        s = sparse_volume(scn.n_voxels, support)
+        columns, planned = forward_both_ways(s, scn, ragged_subset(scn) if ragged else None)
+        assert_same_bits(columns, planned)
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["all", "ragged"])
+    def test_same_bits_as_the_plan_on_paper_v(self, ragged):
+        scn = preset_scenario("paper-v")
+        s = make_phantom("points:5", scn.voxels, rng_seed=42)
+        columns, planned = forward_both_ways(s, scn, ragged_subset(scn) if ragged else None)
+        assert_same_bits(columns, planned)
+
+    def test_subset_is_a_slice(self):
+        scn = sparse_scenario()
+        s = sparse_volume(scn.n_voxels, 5, seed=1)
+        sub = ragged_subset(scn)
+        nfmimo.forward._PLANS.pop(scn, None)
+        restricted = forward_apply(s, scn, subset=sub)
+        full = forward_apply(s, scn)
+        assert scn not in nfmimo.forward._PLANS
+        assert_same_bits(restricted, full[sub])
+
+    def test_a_denser_volume_builds_the_plan(self):
+        scn = sparse_scenario()
+        nfmimo.forward._PLANS.pop(scn, None)
+        forward_apply(sparse_volume(scn.n_voxels, 33), scn)
+        assert scn in nfmimo.forward._PLANS
+
+    def test_simulate_builds_no_plan(self):
+        scn = sparse_scenario(array_seed=7)
+        nfmimo.forward._PLANS.pop(scn, None)
+        simulate_measurements(make_phantom("points:3", scn.voxels, rng_seed=1), scn, 0.1, 2)
+        assert scn not in nfmimo.forward._PLANS
+
+
+class TestPlanCache:
+    def test_keeps_the_four_most_recently_used(self):
+        scenarios = [sparse_scenario(array_seed=20 + k) for k in range(5)]
+        plans = [nfmimo.forward._plan(scn) for scn in scenarios[:4]]
+        assert nfmimo.forward._plan(scenarios[0]) is plans[0]  # now the most recent
+        nfmimo.forward._plan(scenarios[4])
+        cached = [scn in nfmimo.forward._PLANS for scn in scenarios]
+        assert cached == [True, False, True, True, True]
+
+    def test_cache_clear_empties_it(self, tiny_scenario):
+        nfmimo.forward._plan(tiny_scenario)
+        nfmimo.forward._plan.cache_clear()
+        assert tiny_scenario not in nfmimo.forward._PLANS
 
 
 class TestChannelSubset:

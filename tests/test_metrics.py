@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nfmimo.metrics
 from nfmimo import (
     MinibatchComposition,
     ReflectivityVolume,
@@ -131,6 +132,31 @@ class TestRunSweep:
         assert [r.seed for r in records] == [3, 4, 3, 4]
         assert [r.batch_size for r in records] == [1, 1, 8, 8]
         assert all(r.runtime_s >= 0 and r.iterations == 5 for r in records)
+
+    def test_full_composition_reuses_the_reference(self, tiny_scenario, rng, monkeypatch):
+        y = forward_apply(random_complex(rng, tiny_scenario.n_voxels), tiny_scenario)
+        references, solved = [], []
+        pgm, spgm = nfmimo.metrics.pgm_solve, nfmimo.metrics.spgm_solve
+
+        def counting_pgm(*args):
+            references.append(pgm(*args))
+            return references[-1]
+
+        def counting_spgm(y, scenario, config):
+            solved.append(config.composition)
+            return spgm(y, scenario, config)
+
+        monkeypatch.setattr(nfmimo.metrics, "pgm_solve", counting_pgm)
+        monkeypatch.setattr(nfmimo.metrics, "spgm_solve", counting_spgm)
+        full, one = MinibatchComposition(2, 2, 2), MinibatchComposition(1, 1, 1)
+        cfg = SolverConfig(max_iters=5, tol=1e-30)
+        records = run_sweep(y, tiny_scenario, cfg, [full, one], [0, 1, 2])
+        assert solved == [one] * 3
+        (ref,) = references
+        assert [(r.iterations, r.runtime_s, r.psnr_db) for r in records[:3]] == [
+            (ref.iterations, ref.wall_time_s, math.inf)
+        ] * 3
+        assert [r.seed for r in records] == [0, 1, 2] * 2
 
     def test_determinism_of_quality_across_repeats(self, tiny_scenario, rng):
         y = forward_apply(random_complex(rng, tiny_scenario.n_voxels), tiny_scenario)

@@ -382,6 +382,20 @@ class TestPgmSolve:
         assert report.termination == "max_iters" and report.iterations == 3
         assert pgm_solve(y, scn, cfg).plan_s < 0.3  # cached
 
+    def test_report_says_whether_the_plan_was_cached_and_its_size(self, rng):
+        scn = ImagingScenario(
+            array=make_spiral_array(3, 2, 0.1, rng_seed=9),
+            frequencies=FrequencyGrid(3e9, 5e9, 4),
+            voxels=VoxelGrid(center=Vec3(0, 0, 0.2), extent=(0.02, 0.02, 0), dims=(5, 3, 1)),
+        )
+        nfmimo.forward._PLANS.pop(scn, None)
+        y = random_complex(rng, scn.n_channels)
+        cfg = SolverConfig(max_iters=2, tol=1e-300)
+        first, second = pgm_solve(y, scn, cfg), pgm_solve(y, scn, cfg)
+        assert (first.plan_cached, second.plan_cached) == (False, True)
+        # 16 bytes per complex entry: (T + R) table rows and one pulse value per frequency
+        assert first.plan_bytes == second.plan_bytes == 16 * 4 * ((3 + 2) * 15 + 1)
+
     def test_max_iters_termination(self, small_scenario, rng):
         y = random_complex(rng, small_scenario.n_channels)
         report = pgm_solve(y, small_scenario, SolverConfig(max_iters=3, tol=1e-300))
