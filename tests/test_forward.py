@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfmimo.forward
+import nfmimo.solver
 from nfmimo import (
     ArrayGeometry,
     ChannelIndex,
@@ -16,6 +17,7 @@ from nfmimo import (
     MeasurementSet,
     MinibatchComposition,
     ReflectivityVolume,
+    SolverConfig,
     SPEED_OF_LIGHT,
     Vec3,
     VoxelGrid,
@@ -23,16 +25,20 @@ from nfmimo import (
     channel_of,
     data_fidelity,
     forward_apply,
+    lipschitz_estimate,
     make_phantom,
     make_spiral_array,
     materialize_dense,
     matrix_element,
     minibatch_gradient,
+    pgm_solve,
     preset_scenario,
     sample_minibatch,
     simulate_measurements,
+    spgm_solve,
     voxel_centers,
 )
+from nfmimo.io import read_scenario, write_scenario
 from conftest import oracle_dense_matrix, random_complex
 
 # Frozen output of an independent math/cmath evaluation of the propagation
@@ -383,13 +389,13 @@ def ragged_subset(scn: ImagingScenario) -> np.ndarray:
     return np.random.default_rng(3).choice(scn.n_channels, size=scn.n_channels // 3, replace=False)
 
 
-def forward_both_ways(s, scn, subset=None):
+def forward_both_ways(s, scn, subset=None, threads=1):
     """(support-column output with no plan cached, output on the cached plan)."""
     nfmimo.forward._PLANS.pop(scn, None)
-    columns = forward_apply(s, scn, subset=subset)
+    columns = forward_apply(s, scn, subset=subset, threads=threads)
     assert scn not in nfmimo.forward._PLANS  # the support columns were enough
     nfmimo.forward._plan(scn)
-    return columns, forward_apply(s, scn, subset=subset)
+    return columns, forward_apply(s, scn, subset=subset, threads=threads)
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray):
@@ -410,6 +416,15 @@ class TestSupportColumns:
         s = sparse_volume(scn.n_voxels, support)
         columns, planned = forward_both_ways(s, scn, ragged_subset(scn) if ragged else None)
         assert_same_bits(columns, planned)
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["all", "ragged"])
+    def test_same_bits_as_the_plan_on_two_threads(self, ragged):
+        scn = sparse_scenario()
+        s = sparse_volume(scn.n_voxels, 32)
+        subset = ragged_subset(scn) if ragged else None
+        columns, planned = forward_both_ways(s, scn, subset, threads=2)
+        assert_same_bits(columns, planned)
+        assert_same_bits(planned, forward_apply(s, scn, subset=subset))
 
     @pytest.mark.parametrize("ragged", [False, True], ids=["all", "ragged"])
     def test_same_bits_as_the_plan_on_paper_v(self, ragged):
@@ -441,6 +456,85 @@ class TestSupportColumns:
         assert scn not in nfmimo.forward._PLANS
 
 
+def whole_row_forward(s, scenario, subset=None):
+    """Each channel as p * dot(u_t * s, v_r) over whole length-N rows of the
+    cached plan, zero voxels included."""
+    plan = nfmimo.forward._plan(scenario)
+    if subset is None:
+        subset = np.arange(scenario.n_channels)
+    idx = getattr(subset, "indices", subset)  # the solver passes a ChannelSubset
+    out = np.empty(len(idx), dtype=np.complex128)
+    for k, (f, t, r) in enumerate(zip(*np.unravel_index(idx, scenario.channel_shape))):
+        out[k] = plan.pulse_vals[f] * np.dot(plan.tx_tab[f, t] * s, plan.rx_tab[f, r])
+    return out
+
+
+class TestSupportProducts:
+    """On a cached plan, a volume with at most N/_SPARSE nonzero voxels is
+    multiplied into the transmitter rows on its support only, with the bits
+    of whole-row products."""
+
+    @pytest.mark.parametrize(
+        "support", [0, 1, 5, 16, 17, 256], ids=["zero", "one", "few", "cut", "cut+1", "dense"]
+    )
+    @pytest.mark.parametrize("channels", ["full", "minibatch", "ragged"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_same_bits_as_whole_rows(self, support, channels, threads):
+        scn = sparse_scenario()
+        assert scn.n_voxels // nfmimo.forward._SPARSE == 16
+        s = sparse_volume(scn.n_voxels, support, seed=support)
+        subset = {
+            "full": None,
+            "minibatch": sample_minibatch(MinibatchComposition(4, 2, 1), scn, 0).indices,
+            "ragged": ragged_subset(scn),
+        }[channels]
+        nfmimo.forward._plan(scn)
+        got = forward_apply(s, scn, subset=subset, threads=threads)
+        assert_same_bits(got, whole_row_forward(s, scn, subset))
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["cut", "cut+1"])
+    def test_same_bits_as_whole_rows_on_paper_v(self, extra):
+        scn = preset_scenario("paper-v")
+        s = sparse_volume(scn.n_voxels, scn.n_voxels // nfmimo.forward._SPARSE + extra)
+        sub = sample_minibatch(MinibatchComposition(4, 4, 3), scn, 0)
+        nfmimo.forward._plan(scn)
+        assert_same_bits(forward_apply(s, scn, subset=sub), whole_row_forward(s, scn, sub))
+
+    @pytest.mark.parametrize(
+        "composition", [None, MinibatchComposition(8, 3, 2)], ids=["pgm", "spgm"]
+    )
+    def test_solve_has_the_iterates_of_whole_rows(self, composition, monkeypatch):
+        scn = sparse_scenario()
+        y = forward_apply(make_phantom("points:3", scn.voxels, rng_seed=1), scn)
+        eta = 1.0 / lipschitz_estimate(scn)
+        # a weight near the largest first gradient entry keeps the iterates
+        # sparse: their supports cross the cut of 16 voxels
+        alpha = 0.9 * eta * np.max(np.abs(adjoint_apply(y, scn))) / scn.n_channels
+        config = SolverConfig(
+            eta=eta, alpha=alpha, max_iters=20, tol=1e-300, composition=composition, rng_seed=3
+        )
+        solve = pgm_solve if composition is None else spgm_solve
+
+        def iterates():
+            out = []
+            solve(y, scn, config, progress=lambda k, s: out.append(s.copy()))
+            return out
+
+        shipped = iterates()
+        seen = []
+
+        def reference(s, scenario, subset=None):
+            seen.append(np.count_nonzero(s))
+            return whole_row_forward(s, scenario, subset)
+
+        monkeypatch.setattr(nfmimo.solver, "forward_apply", reference)
+        expected = iterates()
+        assert len(shipped) == len(expected) == 20
+        assert min(seen) <= 16 < max(seen)
+        for a, b in zip(shipped, expected):
+            assert_same_bits(a, b)
+
+
 class TestPlanCache:
     def test_keeps_the_four_most_recently_used(self):
         scenarios = [sparse_scenario(array_seed=20 + k) for k in range(5)]
@@ -449,6 +543,15 @@ class TestPlanCache:
         nfmimo.forward._plan(scenarios[4])
         cached = [scn in nfmimo.forward._PLANS for scn in scenarios]
         assert cached == [True, False, True, True, True]
+
+    def test_a_scenario_read_back_from_json_finds_the_plan(self, tmp_path):
+        scn = sparse_scenario(array_seed=30)
+        plan = nfmimo.forward._plan(scn)
+        write_scenario(scn, tmp_path / "scn.json")
+        again = read_scenario(tmp_path / "scn.json")
+        assert again == scn and again is not scn and hash(again) == hash(scn)
+        assert again in nfmimo.forward._PLANS
+        assert nfmimo.forward._plan(again) is plan
 
     def test_cache_clear_empties_it(self, tiny_scenario):
         nfmimo.forward._plan(tiny_scenario)

@@ -277,3 +277,18 @@ class TestImagingScenario:
             pulse=a.pulse,
         )
         assert scenario_fingerprint(other) != scenario_fingerprint(a)
+
+    def test_equal_scenarios_hash_equal_and_each_hashes_once(self, monkeypatch):
+        calls = []
+        field_hash = ArrayGeometry.__hash__
+
+        def counted(array):
+            calls.append(array)
+            return field_hash(array)
+
+        monkeypatch.setattr(ArrayGeometry, "__hash__", counted)
+        a = preset_scenario("paper-v")
+        b = preset_scenario("paper-v")
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(a) == hash(b)
+        assert len(calls) == 2  # once per object, not once per hash()
