@@ -16,21 +16,22 @@ spaced, so the tables are built by recurrence: row f+1 is row f times the
 step phasor exp(-j*dw*d), dw = 2*pi*spacing/c, and every 8th row is
 evaluated from the formula, so the rounding error cannot grow with F.
 
-The forward runs one task per touched frequency. Per transmitter it forms
-the row w = u_t * s, then takes one length-N dot of w with each receiver row
-v_r. For a volume with at most N/16 nonzero voxels (the solver's iterates,
-mostly) w is multiplied on the support only and stays zero elsewhere; a
-denser volume is multiplied over the whole row. The dots are the same
-either way, and so are the bits of the output.
+One builder makes the tables over a set of voxel centers. The tables of
+every voxel (the plan, 16*F*(T+R)*N bytes) are built by the first adjoint on
+a scenario, by a solve before its clock starts, and by a forward of a volume
+with more than N/8 nonzero voxels; the 4 most recently used plans stay
+cached. Before a plan is cached, a forward of a sparser volume (a simulated
+phantom) builds the tables over its nonzero voxels only.
 
-The tables of every voxel (the plan, 16*F*(T+R)*N bytes) are built by the
-first adjoint on a scenario, by a solve before its clock starts, and by a
-forward of a volume with more than N/8 nonzero voxels; the 4 most recently
-used plans stay cached. Before a plan is cached, a forward of a sparser
-volume (a simulated phantom) builds the table columns of its nonzero voxels
-only, with the same recurrence, and runs the same per-channel dots with
-the receiver columns zero-padded to length N, so its output has the same
-bits as on the plan.
+The forward runs one per-frequency function on either kind of table. Per
+transmitter it forms the row w = u_t * s, then takes one length-N dot of w
+with each receiver row v_r. For a volume with at most N/16 nonzero voxels
+(the solver's iterates, mostly) w is multiplied on the support only and
+stays zero elsewhere; a denser volume is multiplied over the whole row. On
+the support tables the receiver columns are zero-padded to length N. The
+dots are the same on every path, and so are the bits of the output, for a
+given BLAS thread count: OpenBLAS may split a long dot across its threads,
+so the forward's bits can differ between thread counts. The adjoint's do not.
 
 Subset applications reuse the exact same cached rows and the same per-channel
 reduction as the full application, so restricting to a subset is bit-exact.
@@ -241,18 +242,22 @@ _PLANS: dict[ImagingScenario, _OperatorPlan] = {}
 _PLANS_LOCK = threading.Lock()
 
 
+def _build(scenario: ImagingScenario, centers: np.ndarray) -> _OperatorPlan:
+    """Pulse values and the phasor tables over the given voxel centers."""
+    return _OperatorPlan(
+        pulse_vals=scenario.pulse.evaluate(scenario.frequencies.values()),
+        tx_tab=_tables(scenario, scenario.array.tx_positions(), centers),
+        rx_tab=_tables(scenario, scenario.array.rx_positions(), centers),
+    )
+
+
 def _plan(scenario: ImagingScenario) -> _OperatorPlan:
     # one lock around the lookup, the build and the eviction: a second thread
     # neither sees the dict mid-update nor builds the same plan again
     with _PLANS_LOCK:
         plan = _PLANS.pop(scenario, None)
         if plan is None:
-            centers = voxel_centers(scenario.voxels)
-            plan = _OperatorPlan(
-                pulse_vals=scenario.pulse.evaluate(scenario.frequencies.values()),
-                tx_tab=_tables(scenario, scenario.array.tx_positions(), centers),
-                rx_tab=_tables(scenario, scenario.array.rx_positions(), centers),
-            )
+            plan = _build(scenario, voxel_centers(scenario.voxels))
         _PLANS[scenario] = plan
         if len(_PLANS) > 4:
             del _PLANS[next(iter(_PLANS))]
@@ -317,11 +322,11 @@ def _rows(sel: np.ndarray):
     return sel
 
 
-def _run_maybe_parallel(tasks, threads: int):
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            return list(pool.map(lambda fn: fn(), tasks))
-    return [fn() for fn in tasks]
+def _run_maybe_parallel(fn, items, threads: int):
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 # A volume with at most N/_SPARSE nonzero voxels is multiplied into the rows
@@ -341,41 +346,19 @@ def _forward_values(
     # Past N/8 nonzero voxels the support tables cost more than an eighth of
     # a plan build, and so dense a volume is rarely the last forward on its
     # scenario (a solve or a power iteration follows), so build the plan.
-    if scenario in _PLANS or 8 * count > n:
-        plan = _plan(scenario)
-        pulse_vals = plan.pulse_vals
-        support = np.flatnonzero(nonzero) if _SPARSE * count <= n else None
-
-        def tx_support(f, t):
-            return plan.tx_tab[f, t, support]
-
-        def rx_rows(f):
-            return plan.rx_tab[f].__getitem__
-
-    else:
+    # Before that, build the support's columns only; each task pads them into
+    # one zero row of its own, since holding all F*(T+R) or T+R padded rows
+    # would take tens of MB that the heap keeps resident after they are freed.
+    pad = scenario not in _PLANS and 8 * count <= n
+    if pad:
         support = np.flatnonzero(nonzero)
-        centers = voxel_centers(scenario.voxels)[support]
-        pulse_vals = scenario.pulse.evaluate(scenario.frequencies.values())
-        tx_cols = _tables(scenario, scenario.array.tx_positions(), centers)
-        rx_cols = _tables(scenario, scenario.array.rx_positions(), centers)
-
-        def tx_support(f, t):
-            return tx_cols[f, t]
-
-        # Each task pads the support columns into one zero row of its own;
-        # holding all F*(T+R) or T+R padded rows would take tens of MB that
-        # the heap keeps resident after they are freed.
-        def rx_rows(f):
-            row = np.zeros(n, dtype=np.complex128)
-
-            def rx(r):
-                row[support] = rx_cols[f, r]
-                return row
-
-            return rx
-
-    if support is not None:
-        on_support = values[support]
+        tabs = _build(scenario, voxel_centers(scenario.voxels)[support])
+        cols = slice(None)
+    else:
+        tabs = _plan(scenario)
+        support = np.flatnonzero(nonzero) if _SPARSE * count <= n else None
+        cols = support
+    on_support = None if support is None else values[support]
     out = np.empty(idx.size, dtype=np.complex128)
 
     # w = u_t * s, one row per frequency task. On the support it holds the
@@ -383,26 +366,23 @@ def _forward_values(
     # stays +0, zeroed once, where the whole-row products are +-0. Every dot
     # keeps its length N, and a signed zero added to a partial sum leaves it
     # as it was (a zero sum is +0 either way), so both give the same bits.
-    def make_task(f, pos, ts, tpos, rs, rpos):
-        def task():
-            p = pulse_vals[f]
-            w = np.empty(n, dtype=np.complex128)
-            if support is not None:
-                w.fill(0)
-            rx = rx_rows(f)
-            for j, t in enumerate(ts):
-                if support is None:
-                    np.multiply(plan.tx_tab[f, t], values, out=w)
-                else:
-                    w[support] = tx_support(f, t) * on_support
-                mine = tpos == j
-                for r, k in zip(rs[rpos[mine]], pos[mine]):
-                    out[k] = p * np.dot(w, rx(r))
+    def one_frequency(split):
+        f, pos, ts, tpos, rs, rpos = split
+        p = tabs.pulse_vals[f]
+        w = (np.empty if support is None else np.zeros)(n, dtype=np.complex128)
+        rx = np.zeros(n, dtype=np.complex128) if pad else None
+        for j, t in enumerate(ts):
+            if support is None:
+                np.multiply(tabs.tx_tab[f, t], values, out=w)
+            else:
+                w[support] = tabs.tx_tab[f, t, cols] * on_support
+            mine = tpos == j
+            for r, k in zip(rs[rpos[mine]], pos[mine]):
+                if pad:
+                    rx[support] = tabs.rx_tab[f, r]
+                out[k] = p * np.dot(w, rx if pad else tabs.rx_tab[f, r])
 
-        return task
-
-    tasks = [make_task(*split) for split in _by_frequency(idx, scenario)]
-    _run_maybe_parallel(tasks, threads)
+    _run_maybe_parallel(one_frequency, list(_by_frequency(idx, scenario)), threads)
     return out
 
 
@@ -425,19 +405,16 @@ def _adjoint_values(
 
     out = np.zeros(n, dtype=np.complex128)
 
-    def make_task(a, b):
-        # each voxel is summed by one task in ascending frequency order, so
-        # the result does not depend on the thread count
-        def task():
-            for f, ts, rs, coeffs in terms:
-                inner = coeffs @ plan.rx_tab[f, rs, a:b]
-                inner *= plan.tx_tab[f, ts, a:b]
-                out[a:b] += inner.sum(axis=0)
+    # each voxel is summed by one task in ascending frequency order, so the
+    # result does not depend on the thread count
+    def one_tile(a):
+        b = min(a + _TILE, n)
+        for f, ts, rs, coeffs in terms:
+            inner = coeffs @ plan.rx_tab[f, rs, a:b]
+            inner *= plan.tx_tab[f, ts, a:b]
+            out[a:b] += inner.sum(axis=0)
 
-        return task
-
-    tiles = [make_task(a, min(a + _TILE, n)) for a in range(0, n, _TILE)]
-    _run_maybe_parallel(tiles, threads)
+    _run_maybe_parallel(one_tile, range(0, n, _TILE), threads)
     return np.conj(out, out=out)
 
 

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,6 +538,69 @@ class TestSupportProducts:
         assert min(seen) <= 16 < max(seen)
         for a, b in zip(shipped, expected):
             assert_same_bits(a, b)
+
+
+# Prints the SHA-256 of each operator output as JSON. 41x41x11 = 18491 voxels
+# make the forward's length-N dots long enough for OpenBLAS to split them
+# across its threads. The sparse volume comes first, before a plan exists,
+# so it takes the support-column path.
+_BLAS_CHILD = """
+import hashlib, json
+import numpy as np
+from nfmimo import (FrequencyGrid, ImagingScenario, MinibatchComposition, Vec3, VoxelGrid,
+                    adjoint_apply, forward_apply, make_spiral_array, sample_minibatch)
+scn = ImagingScenario(
+    array=make_spiral_array(5, 4, 0.2, rng_seed=1),
+    frequencies=FrequencyGrid(4e9, 8e9, 5),
+    voxels=VoxelGrid(center=Vec3(0, 0, 0.5), extent=(0.2, 0.2, 0.1), dims=(41, 41, 11)),
+)
+rng = np.random.default_rng(0)
+n = scn.n_voxels
+sparse = np.zeros(n, dtype=complex)
+sparse[rng.choice(n, size=40, replace=False)] = rng.standard_normal(40) + 1j
+dense = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+batch = sample_minibatch(MinibatchComposition(4, 4, 3), scn, 0)
+r = rng.standard_normal(scn.n_channels) + 1j * rng.standard_normal(scn.n_channels)
+out = {
+    "forward.sparse": forward_apply(sparse, scn),
+    "forward.full": forward_apply(dense, scn),
+    "forward.443": forward_apply(dense, scn, subset=batch),
+    "adjoint.full": adjoint_apply(r, scn),
+    "adjoint.443": adjoint_apply(r[: len(batch)], scn, subset=batch),
+}
+print(json.dumps({k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in out.items()}))
+"""
+
+
+@pytest.fixture(scope="module")
+def digests_by_blas_threads() -> dict:
+    """Operator output digests from fresh processes under 1 and 2 OpenBLAS
+    threads; the variable has to be set before numpy is imported."""
+    src = str(Path(nfmimo.__file__).resolve().parents[1])
+    digests = {}
+    for count in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": count, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_CHILD],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        digests[count] = json.loads(proc.stdout)
+    return digests
+
+
+class TestBlasThreadCount:
+    @pytest.mark.parametrize("name", ["adjoint.full", "adjoint.443"])
+    def test_adjoint_has_the_same_bytes(self, digests_by_blas_threads, name):
+        assert digests_by_blas_threads["1"][name] == digests_by_blas_threads["2"][name]
+
+    @pytest.mark.xfail(
+        strict=False,
+        reason="ROADMAP item 2: OpenBLAS splits the forward's length-N dots across its threads",
+    )
+    @pytest.mark.parametrize("name", ["forward.sparse", "forward.full", "forward.443"])
+    def test_forward_has_the_same_bytes(self, digests_by_blas_threads, name):
+        assert digests_by_blas_threads["1"][name] == digests_by_blas_threads["2"][name]
 
 
 class TestPlanCache:
