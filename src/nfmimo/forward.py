@@ -16,22 +16,24 @@ spaced, so the tables are built by recurrence: row f+1 is row f times the
 step phasor exp(-j*dw*d), dw = 2*pi*spacing/c, and every 8th row is
 evaluated from the formula, so the rounding error cannot grow with F.
 
-One builder makes the tables over a set of voxel centers. The tables of
-every voxel (the plan, 16*F*(T+R)*N bytes) are built by the first adjoint on
-a scenario, by a solve before its clock starts, and by a forward of a volume
-with more than N/8 nonzero voxels; the 4 most recently used plans stay
-cached. Before a plan is cached, a forward of a sparser volume (a simulated
-phantom) builds the tables over its nonzero voxels only.
+One builder makes the tables over a set of voxel centers. A volume is
+sparse when at most N/16 of its voxels are nonzero. The tables of every
+voxel (the plan, 16*F*(T+R)*N bytes) are built by the first adjoint on a
+scenario, by a solve before its clock starts, and by a forward of a volume
+that is not sparse. Only the last scenario's plan stays cached: a plan for
+another scenario frees it first, so a process never holds two. Before a
+plan is cached, a forward of a sparse volume (a simulated phantom) builds
+the tables over its nonzero voxels only.
 
 The forward runs one per-frequency function on either kind of table. Per
 transmitter it forms the row w = u_t * s, then takes one length-N dot of w
-with each receiver row v_r. For a volume with at most N/16 nonzero voxels
-(the solver's iterates, mostly) w is multiplied on the support only and
-stays zero elsewhere; a denser volume is multiplied over the whole row. On
-the support tables the receiver columns are zero-padded to length N. The
-dots are the same on every path, and so are the bits of the output, for a
-given BLAS thread count: OpenBLAS may split a long dot across its threads,
-so the forward's bits can differ between thread counts. The adjoint's do not.
+with each receiver row v_r. For a sparse volume (the solver's iterates,
+mostly) w is multiplied on the support only and stays zero elsewhere; a
+denser volume is multiplied over the whole row. On the support tables the
+receiver columns are zero-padded to length N. The dots are the same on
+every path, and so are the bits of the output, for a given BLAS thread
+count: OpenBLAS may split a long dot across its threads, so the forward's
+bits can differ between thread counts. The adjoint's do not.
 
 Subset applications reuse the exact same cached rows and the same per-channel
 reduction as the full application, so restricting to a subset is bit-exact.
@@ -81,6 +83,19 @@ class DenseCapError(RuntimeError):
     """Dense materialization would exceed the configured entry cap."""
 
 
+def _complex_vector(what: str, values, size: int | None = None) -> np.ndarray:
+    """``values`` as a finite 1-D complex array, of ``size`` entries when given;
+    an error calls them ``what`` values."""
+    vals = np.asarray(values, dtype=np.complex128)
+    if size is None and vals.ndim != 1:
+        raise ValueError(f"{what} values must be 1-D, got shape {vals.shape}")
+    if size is not None and vals.shape != (size,):
+        raise ValueError(f"expected {size} {what} values, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{what} values must be finite")
+    return vals
+
+
 @dataclass(eq=False)
 class ReflectivityVolume:
     """Complex reflectivity per voxel, in the grid's flat order (``grid.shape``)."""
@@ -89,16 +104,7 @@ class ReflectivityVolume:
     grid: VoxelGrid
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim != 1:
-            raise ValueError(f"volume values must be 1-D, got shape {vals.shape}")
-        if vals.size != self.grid.n_voxels:
-            raise ValueError(
-                f"volume has {vals.size} values but grid holds {self.grid.n_voxels} voxels"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("volume values must be finite")
-        self.values = vals
+        self.values = _complex_vector("voxel", self.values, self.grid.n_voxels)
 
     @classmethod
     def zeros(cls, grid: VoxelGrid) -> "ReflectivityVolume":
@@ -114,12 +120,7 @@ class MeasurementSet:
     fingerprint: bytes
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim != 1:
-            raise ValueError(f"measurement values must be 1-D, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("measurement values must be finite")
-        self.values = vals
+        self.values = _complex_vector("measurement", self.values)
         if len(self.fingerprint) != 32:
             raise ValueError("fingerprint must be 32 bytes")
 
@@ -208,6 +209,10 @@ class _OperatorPlan:
     tx_tab: np.ndarray  # (F, T, N) complex
     rx_tab: np.ndarray  # (F, R, N) complex
 
+    @property
+    def nbytes(self) -> int:
+        return self.pulse_vals.nbytes + self.tx_tab.nbytes + self.rx_tab.nbytes
+
 
 _ANCHOR = 8  # table rows per directly evaluated row; the rest by recurrence
 
@@ -236,8 +241,8 @@ def _tables(scenario: ImagingScenario, positions: np.ndarray, centers: np.ndarra
     return tab
 
 
-# the 4 most recently used plans, least recent first; ask ``scenario in
-# _PLANS`` to learn whether a plan exists without building one
+# at most one plan, the one ``_plan`` built last; ask ``scenario in _PLANS``
+# to learn whether a plan exists without building one
 _PLANS: dict[ImagingScenario, _OperatorPlan] = {}
 _PLANS_LOCK = threading.Lock()
 
@@ -252,32 +257,23 @@ def _build(scenario: ImagingScenario, centers: np.ndarray) -> _OperatorPlan:
 
 
 def _plan(scenario: ImagingScenario) -> _OperatorPlan:
-    # one lock around the lookup, the build and the eviction: a second thread
-    # neither sees the dict mid-update nor builds the same plan again
+    # one lock around the lookup, the eviction and the build: a second thread
+    # neither sees the slot mid-update nor builds the same plan again
     with _PLANS_LOCK:
-        plan = _PLANS.pop(scenario, None)
+        plan = _PLANS.get(scenario)
         if plan is None:
-            plan = _build(scenario, voxel_centers(scenario.voxels))
-        _PLANS[scenario] = plan
-        if len(_PLANS) > 4:
-            del _PLANS[next(iter(_PLANS))]
+            # free the old plan before the new one is allocated
+            _PLANS.clear()
+            plan = _PLANS[scenario] = _build(scenario, voxel_centers(scenario.voxels))
         return plan
 
 
-_plan.cache_clear = _PLANS.clear
-
-
 def _volume_values(s, scenario: ImagingScenario) -> np.ndarray:
-    if isinstance(s, ReflectivityVolume):
-        if s.grid != scenario.voxels:
-            raise ValueError("volume grid does not match the scenario voxel grid")
-        return s.values
-    vals = np.asarray(s, dtype=np.complex128)
-    if vals.shape != (scenario.n_voxels,):
-        raise ValueError(
-            f"expected {scenario.n_voxels} voxel values, got shape {vals.shape}"
-        )
-    return vals
+    if not isinstance(s, ReflectivityVolume):
+        s = ReflectivityVolume(s, scenario.voxels)
+    elif s.grid != scenario.voxels:
+        raise ValueError("volume grid does not match the scenario voxel grid")
+    return s.values
 
 
 def _channel_subset(subset, scenario: ImagingScenario) -> ChannelSubset:
@@ -329,11 +325,12 @@ def _run_maybe_parallel(fn, items, threads: int):
     return [fn(item) for item in items]
 
 
-# A volume with at most N/_SPARSE nonzero voxels is multiplied into the rows
-# on its support only. Past it, gathering and scattering the support costs
-# more than a whole-row product: a (4,4,3) forward on `paper-v` took 4.6 ms
-# against 6.0 ms whole-row at 6.25% random nonzeros, and 6.0 against 5.5 ms
-# at 7%.
+# A volume with at most N/_SPARSE nonzero voxels is sparse: it is multiplied
+# into the rows on its support only, and with no plan cached it builds its
+# support's table columns only. Past it, gathering and scattering the support
+# costs more than a whole-row product: a (4,4,3) forward on `paper-v` took
+# 4.6 ms against 6.0 ms whole-row at 6.25% random nonzeros, and 6.0 against
+# 5.5 ms at 7%.
 _SPARSE = 16
 
 
@@ -342,21 +339,17 @@ def _forward_values(
 ) -> np.ndarray:
     n = scenario.n_voxels
     nonzero = values != 0
-    count = int(np.count_nonzero(nonzero))
-    # Past N/8 nonzero voxels the support tables cost more than an eighth of
-    # a plan build, and so dense a volume is rarely the last forward on its
-    # scenario (a solve or a power iteration follows), so build the plan.
-    # Before that, build the support's columns only; each task pads them into
-    # one zero row of its own, since holding all F*(T+R) or T+R padded rows
-    # would take tens of MB that the heap keeps resident after they are freed.
-    pad = scenario not in _PLANS and 8 * count <= n
+    support = np.flatnonzero(nonzero) if _SPARSE * np.count_nonzero(nonzero) <= n else None
+    # With no plan cached, a sparse volume builds its support's columns only;
+    # each task pads them into one zero row of its own, since holding all
+    # F*(T+R) or T+R padded rows would take tens of MB that the heap keeps
+    # resident after they are freed.
+    pad = support is not None and scenario not in _PLANS
     if pad:
-        support = np.flatnonzero(nonzero)
         tabs = _build(scenario, voxel_centers(scenario.voxels)[support])
         cols = slice(None)
     else:
         tabs = _plan(scenario)
-        support = np.flatnonzero(nonzero) if _SPARSE * count <= n else None
         cols = support
     on_support = None if support is None else values[support]
     out = np.empty(idx.size, dtype=np.complex128)
@@ -437,9 +430,7 @@ def forward_apply(s, scenario: ImagingScenario, subset=None, threads: int = 1) -
 def adjoint_apply(r, scenario: ImagingScenario, subset=None, threads: int = 1) -> np.ndarray:
     """Apply the conjugate transpose: entry n is sum_k conj(A[m_k, n]) * r_k."""
     idx = _channel_subset(subset, scenario).indices
-    rvals = np.asarray(r, dtype=np.complex128)
-    if rvals.shape != (idx.size,):
-        raise ValueError(f"expected {idx.size} residual values, got shape {rvals.shape}")
+    rvals = _complex_vector("residual", r, idx.size)
     return _adjoint_values(rvals, scenario, idx, _count("threads", threads))
 
 

@@ -31,6 +31,7 @@ from .forward import (
     ReflectivityVolume,
     _PLANS,
     _channel_subset,
+    _complex_vector,
     _plan,
     adjoint_apply,
     forward_apply,
@@ -156,17 +157,17 @@ class SolveReport:
 
 def _measurement_values(y, scenario: ImagingScenario) -> np.ndarray:
     if isinstance(y, MeasurementSet):
-        matches = y.matches(scenario)
+        values, matches = y.values, y.matches(scenario)
     else:
-        # the fingerprint is taken from this scenario, so only the size can differ
-        y = MeasurementSet.for_scenario(y, scenario)
-        matches = y.values.size == scenario.n_channels
+        # a raw array has no fingerprint, so only its size can differ
+        values = _complex_vector("measurement", y)
+        matches = values.size == scenario.n_channels
     if not matches:
         raise ValueError(
-            f"measurement fingerprint or size does not match the scenario: {y.values.size} "
+            f"measurement fingerprint or size does not match the scenario: {values.size} "
             f"values for {scenario.n_channels} channels (wrong scenario or stale measurement file)"
         )
-    return y.values
+    return values
 
 
 def data_fidelity(s, y, scenario: ImagingScenario, subset=None) -> float:
@@ -309,7 +310,7 @@ def _solve(
         wall_time_s=time.perf_counter() - t_start,
         plan_s=t_start - t_plan,
         plan_cached=plan_cached,
-        plan_bytes=plan.pulse_vals.nbytes + plan.tx_tab.nbytes + plan.rx_tab.nbytes,
+        plan_bytes=plan.nbytes,
         per_iteration=records,
         termination=termination,
     )

@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from nfmimo import (
     channel_of,
     data_fidelity,
     forward_apply,
+    full_gradient,
     lipschitz_estimate,
     make_phantom,
     make_spiral_array,
@@ -373,7 +376,7 @@ class TestPhasorRecurrence:
 
 def sparse_scenario(array_seed: int = 6) -> ImagingScenario:
     """3 Tx x 2 Rx over 10 frequencies (rows 8 and 9 follow an anchor),
-    8x8x4 = 256 voxels, so N/8 = 32."""
+    8x8x4 = 256 voxels, so N/16 = 16."""
     return ImagingScenario(
         array=make_spiral_array(3, 2, 0.1, rng_seed=array_seed),
         frequencies=FrequencyGrid(2e9, 6e9, 10),
@@ -410,14 +413,15 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray):
 
 
 class TestSupportColumns:
-    """Before a plan is cached, a forward of a volume with at most N/8 nonzero
-    voxels builds its support's table columns only, with the plan's bits."""
+    """Before a plan is cached, a forward of a volume with at most N/_SPARSE
+    nonzero voxels builds its support's table columns only, with the plan's
+    bits."""
 
-    @pytest.mark.parametrize("support", [0, 1, 5, 32], ids=["zero", "one", "few", "eighth"])
+    @pytest.mark.parametrize("support", [0, 1, 5, 16], ids=["zero", "one", "few", "cut"])
     @pytest.mark.parametrize("ragged", [False, True], ids=["all", "ragged"])
     def test_same_bits_as_the_plan(self, support, ragged):
         scn = sparse_scenario()
-        assert 8 * support <= scn.n_voxels
+        assert nfmimo.forward._SPARSE * support <= scn.n_voxels
         s = sparse_volume(scn.n_voxels, support)
         columns, planned = forward_both_ways(s, scn, ragged_subset(scn) if ragged else None)
         assert_same_bits(columns, planned)
@@ -425,7 +429,7 @@ class TestSupportColumns:
     @pytest.mark.parametrize("ragged", [False, True], ids=["all", "ragged"])
     def test_same_bits_as_the_plan_on_two_threads(self, ragged):
         scn = sparse_scenario()
-        s = sparse_volume(scn.n_voxels, 32)
+        s = sparse_volume(scn.n_voxels, 16)
         subset = ragged_subset(scn) if ragged else None
         columns, planned = forward_both_ways(s, scn, subset, threads=2)
         assert_same_bits(columns, planned)
@@ -451,7 +455,7 @@ class TestSupportColumns:
     def test_a_denser_volume_builds_the_plan(self):
         scn = sparse_scenario()
         nfmimo.forward._PLANS.pop(scn, None)
-        forward_apply(sparse_volume(scn.n_voxels, 33), scn)
+        forward_apply(sparse_volume(scn.n_voxels, 17), scn)
         assert scn in nfmimo.forward._PLANS
 
     def test_simulate_builds_no_plan(self):
@@ -604,13 +608,54 @@ class TestBlasThreadCount:
 
 
 class TestPlanCache:
-    def test_keeps_the_four_most_recently_used(self):
-        scenarios = [sparse_scenario(array_seed=20 + k) for k in range(5)]
-        plans = [nfmimo.forward._plan(scn) for scn in scenarios[:4]]
-        assert nfmimo.forward._plan(scenarios[0]) is plans[0]  # now the most recent
-        nfmimo.forward._plan(scenarios[4])
-        cached = [scn in nfmimo.forward._PLANS for scn in scenarios]
-        assert cached == [True, False, True, True, True]
+    def test_keeps_only_the_last_scenarios_plan(self):
+        a, b = sparse_scenario(array_seed=20), sparse_scenario(array_seed=21)
+        plan = nfmimo.forward._plan(a)
+        assert nfmimo.forward._plan(a) is plan
+        nfmimo.forward._plan(b)
+        assert list(nfmimo.forward._PLANS) == [b]
+
+    def test_frees_the_old_plan_before_building_the_next(self, monkeypatch):
+        a, b = sparse_scenario(array_seed=22), sparse_scenario(array_seed=23)
+        old = weakref.ref(nfmimo.forward._plan(a))
+        build = nfmimo.forward._build
+        alive = []
+
+        def build_and_look(scenario, centers):
+            alive.append(old() is not None)
+            return build(scenario, centers)
+
+        monkeypatch.setattr(nfmimo.forward, "_build", build_and_look)
+        nfmimo.forward._plan(b)
+        assert alive == [False]
+
+    def test_threads_on_two_scenarios_get_their_own_plans(self):
+        # different voxel counts, so a plan handed to the wrong thread shows in its shape
+        scenarios = [sparse_scenario(array_seed=24), stepped_scenario(9)] * 3
+        shapes = [[] for _ in scenarios]
+        cached = []
+
+        def ask(k):
+            for _ in range(20):
+                plan = nfmimo.forward._plan(scenarios[k])
+                shapes[k].append((plan.tx_tab.shape, plan.rx_tab.shape))
+                cached.append(len(nfmimo.forward._PLANS))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=ask, args=(k,)) for k in range(len(scenarios))]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for scn, seen in zip(scenarios, shapes):
+            f, t, r = scn.channel_shape
+            assert seen == [((f, t, scn.n_voxels), (f, r, scn.n_voxels))] * 20
+        assert max(cached) <= 1 and len(nfmimo.forward._PLANS) <= 1
 
     def test_a_scenario_read_back_from_json_finds_the_plan(self, tmp_path):
         scn = sparse_scenario(array_seed=30)
@@ -620,11 +665,6 @@ class TestPlanCache:
         assert again == scn and again is not scn and hash(again) == hash(scn)
         assert again in nfmimo.forward._PLANS
         assert nfmimo.forward._plan(again) is plan
-
-    def test_cache_clear_empties_it(self, tiny_scenario):
-        nfmimo.forward._plan(tiny_scenario)
-        nfmimo.forward._plan.cache_clear()
-        assert tiny_scenario not in nfmimo.forward._PLANS
 
 
 class TestChannelSubset:
@@ -784,6 +824,35 @@ class TestDomainTypes:
             vals[1] = bad
             with pytest.raises(ValueError, match="finite"):
                 MeasurementSet.for_scenario(vals, tiny_scenario)
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-infj"]
+    )
+    @pytest.mark.parametrize(
+        "apply", ["forward_apply", "data_fidelity", "full_gradient", "minibatch_gradient"]
+    )
+    def test_raw_volume_must_be_finite(self, tiny_scenario, apply, bad):
+        s = np.zeros(tiny_scenario.n_voxels, dtype=complex)
+        s[1] = bad
+        y = np.zeros(tiny_scenario.n_channels, dtype=complex)
+        calls = {
+            "forward_apply": lambda: forward_apply(s, tiny_scenario),
+            "data_fidelity": lambda: data_fidelity(s, y, tiny_scenario),
+            "full_gradient": lambda: full_gradient(s, y, tiny_scenario),
+            "minibatch_gradient": lambda: minibatch_gradient(s, y, tiny_scenario, [0, 3]),
+        }
+        with pytest.raises(ValueError, match="voxel values must be finite"):
+            calls[apply]()
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-infj"]
+    )
+    @pytest.mark.parametrize("subset", [None, [0, 3]], ids=["full", "subset"])
+    def test_raw_residual_must_be_finite(self, tiny_scenario, subset, bad):
+        r = np.zeros(tiny_scenario.n_channels if subset is None else len(subset), dtype=complex)
+        r[1] = bad
+        with pytest.raises(ValueError, match="residual values must be finite"):
+            adjoint_apply(r, tiny_scenario, subset=subset)
 
     def test_measurement_set_matches_only_its_scenario(self, tiny_scenario, small_scenario):
         mset = MeasurementSet.for_scenario(
