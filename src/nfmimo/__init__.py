@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
-    ChannelIndex,
     ConstantPulse,
     FrequencyGrid,
     ImagingScenario,
@@ -15,12 +14,9 @@ from .geometry import (
     TabulatedPulse,
     Vec3,
     VoxelGrid,
-    channel_of,
-    flat_channel,
     make_spiral_array,
     preset_scenario,
     scenario_fingerprint,
-    voxel_center,
     voxel_centers,
 )
 from .forward import (

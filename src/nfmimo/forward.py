@@ -58,11 +58,10 @@ import numpy as np
 from .geometry import (
     ImagingScenario,
     VoxelGrid,
+    _center,
     _count,
     _real,
-    channel_of,
     scenario_fingerprint,
-    voxel_center,
     voxel_centers,
 )
 
@@ -121,6 +120,8 @@ class MeasurementSet:
 
     def __post_init__(self):
         self.values = _complex_vector("measurement", self.values)
+        if not isinstance(self.fingerprint, bytes):
+            raise ValueError(f"fingerprint must be bytes, got {type(self.fingerprint).__name__}")
         if len(self.fingerprint) != 32:
             raise ValueError("fingerprint must be 32 bytes")
 
@@ -167,11 +168,11 @@ class ChannelSubset:
 def _element_row(scenario: ImagingScenario, m: int, centers: np.ndarray) -> np.ndarray:
     """Operator entries A[m, n] for the given voxel centers, straight from the
     propagation formula (no cached tables)."""
-    ci = channel_of(m, scenario)
-    f = scenario.frequencies.values()[ci.fi]
+    fi, ti, ri = np.unravel_index(m, scenario.channel_shape)
+    f = scenario.frequencies.values()[fi]
     p = scenario.pulse.evaluate(np.array([f]))[0]
-    tpos = scenario.array.transmitters[ci.ti].as_array()
-    rpos = scenario.array.receivers[ci.ri].as_array()
+    tpos = scenario.array.transmitters[ti].as_array()
+    rpos = scenario.array.receivers[ri].as_array()
     d_t = np.sqrt(np.sum((centers - tpos) ** 2, axis=1))
     d_r = np.sqrt(np.sum((centers - rpos) ** 2, axis=1))
     phase = np.exp(-1j * (2.0 * math.pi / scenario.c) * f * (d_t + d_r))
@@ -180,9 +181,11 @@ def _element_row(scenario: ImagingScenario, m: int, centers: np.ndarray) -> np.n
 
 def matrix_element(m: int, n: int, scenario: ImagingScenario) -> complex:
     """Single operator entry A[m, n]."""
-    if not 0 <= n < scenario.n_voxels:
-        raise IndexError(f"voxel index {n} out of range [0, {scenario.n_voxels})")
-    center = voxel_center(n, scenario.voxels).as_array()[None, :]
+    for name, i, count in (("channel", m, scenario.n_channels), ("voxel", n, scenario.n_voxels)):
+        if not 0 <= i < count:
+            raise IndexError(f"{name} index {i} out of range [0, {count})")
+    iz, iy, ix = map(int, np.unravel_index(n, scenario.voxels.shape))
+    center = np.array([_center(scenario.voxels, ix, iy, iz)])
     return complex(_element_row(scenario, m, center)[0])
 
 

@@ -1,5 +1,6 @@
-"""Antenna arrays, frequency grids, voxel grids, and the index maps between
-flat measurement/voxel numbering and structured coordinates.
+"""Antenna arrays, frequency grids, voxel grids and the scenario that joins
+them. ``ImagingScenario.channel_shape`` and ``VoxelGrid.shape`` define the flat
+channel and voxel numberings.
 
 All types here are immutable after construction, so they are safe to share.
 Distances are meters, frequencies Hz.
@@ -198,20 +199,6 @@ class VoxelGrid:
         c, e = self.center, self.extent
         return Vec3(c.x - e[0] / 2.0, c.y - e[1] / 2.0, c.z - e[2] / 2.0)
 
-    def indices_of(self, n: int) -> tuple[int, int, int]:
-        """Flat voxel index -> (ix, iy, iz)."""
-        if not 0 <= n < self.n_voxels:
-            raise IndexError(f"voxel index {n} out of range [0, {self.n_voxels})")
-        iz, iy, ix = np.unravel_index(n, self.shape)
-        return int(ix), int(iy), int(iz)
-
-    def flat_index(self, ix: int, iy: int, iz: int) -> int:
-        """(ix, iy, iz) -> flat voxel index, x fastest."""
-        nx, ny, nz = self.dims
-        if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
-            raise IndexError(f"voxel index ({ix},{iy},{iz}) out of range for dims {self.dims}")
-        return int(np.ravel_multi_index((iz, iy, ix), self.shape))
-
 
 def _center(grid: VoxelGrid, ix, iy, iz) -> tuple:
     """(x, y, z) of voxel (ix, iy, iz), for scalar or array indices alike."""
@@ -220,24 +207,10 @@ def _center(grid: VoxelGrid, ix, iy, iz) -> tuple:
     return corner.x + ix * dx, corner.y + iy * dy, corner.z + iz * dz
 
 
-def voxel_center(n: int, grid: VoxelGrid) -> Vec3:
-    """Center of the voxel with flat index ``n``."""
-    return Vec3(*_center(grid, *grid.indices_of(n)))
-
-
 def voxel_centers(grid: VoxelGrid) -> np.ndarray:
     """(N, 3) array of all voxel centers in flat order (x fastest)."""
     iz, iy, ix = np.unravel_index(np.arange(grid.n_voxels), grid.shape)
     return np.stack(_center(grid, ix, iy, iz), axis=1)
-
-
-@dataclass(frozen=True)
-class ChannelIndex:
-    """Structured measurement channel: frequency, transmitter, receiver."""
-
-    fi: int
-    ti: int
-    ri: int
 
 
 @dataclass(frozen=True)
@@ -344,22 +317,6 @@ class ImagingScenario:
         return self.voxels.n_voxels
 
 
-def channel_of(m: int, scenario: ImagingScenario) -> ChannelIndex:
-    """Flat measurement index -> (fi, ti, ri). Receiver varies fastest."""
-    if not 0 <= m < scenario.n_channels:
-        raise IndexError(f"channel index {m} out of range [0, {scenario.n_channels})")
-    return ChannelIndex(*map(int, np.unravel_index(m, scenario.channel_shape)))
-
-
-def flat_channel(index: ChannelIndex, scenario: ImagingScenario) -> int:
-    """(fi, ti, ri) -> flat measurement index, receiver fastest."""
-    fti = (index.fi, index.ti, index.ri)
-    shape = scenario.channel_shape
-    if not all(0 <= i < n for i, n in zip(fti, shape)):
-        raise IndexError(f"channel {index} out of range for {shape}")
-    return int(np.ravel_multi_index(fti, shape))
-
-
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -430,8 +387,9 @@ def scenario_to_document(scenario: ImagingScenario) -> dict:
 def _format_number(x) -> str:
     if isinstance(x, int):
         return str(x)
-    # 17 significant digits round-trip any float64 exactly
-    return format(float(x), ".17g")
+    # 17 significant digits round-trip any float64 exactly; adding 0.0 turns
+    # -0.0 into 0.0, which JSON would read back as the int 0 from "-0"
+    return format(float(x) + 0.0, ".17g")
 
 
 def dumps_canonical(obj) -> str:

@@ -28,21 +28,14 @@ def _points(grid: VoxelGrid, k: int, rng: np.random.Generator) -> np.ndarray:
     return values
 
 
-def _bar(grid: VoxelGrid) -> np.ndarray:
-    nx, ny, nz = grid.dims
+def _lines(grid: VoxelGrid, cross: bool) -> np.ndarray:
+    """A bar along x through the scene center, plus one along y for a cross."""
     values = np.zeros(grid.n_voxels, dtype=np.complex128)
-    iy, iz = ny // 2, nz // 2
-    for ix in range(nx // 4, 3 * nx // 4 + 1):
-        values[grid.flat_index(ix, iy, iz)] = 1.0
-    return values
-
-
-def _cross(grid: VoxelGrid) -> np.ndarray:
-    nx, ny, nz = grid.dims
-    values = _bar(grid)
-    ix, iz = nx // 2, nz // 2
-    for iy in range(ny // 4, 3 * ny // 4 + 1):
-        values[grid.flat_index(ix, iy, iz)] = 1.0
+    volume = values.reshape(grid.shape)  # a view, indexed (iz, iy, ix)
+    nz, ny, nx = grid.shape
+    volume[nz // 2, ny // 2, nx // 4 : 3 * nx // 4 + 1] = 1.0
+    if cross:
+        volume[nz // 2, ny // 4 : 3 * ny // 4 + 1, nx // 2] = 1.0
     return values
 
 
@@ -59,10 +52,8 @@ def make_phantom(spec: str, grid: VoxelGrid, rng_seed: int = 0) -> ReflectivityV
         k = _count(f"k of phantom spec {spec!r}", k)
         rng = np.random.default_rng(rng_seed)
         return ReflectivityVolume(_points(grid, k, rng), grid)
-    if spec == "bar":
-        return ReflectivityVolume(_bar(grid), grid)
-    if spec == "cross":
-        return ReflectivityVolume(_cross(grid), grid)
+    if spec in ("bar", "cross"):
+        return ReflectivityVolume(_lines(grid, cross=spec == "cross"), grid)
     if spec.startswith("file:"):
         from .io import read_volume
 

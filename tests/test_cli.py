@@ -284,17 +284,34 @@ class TestReconstruct:
         b = read_volume(spgm_out).values
         assert np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(a), 1e-30)
 
-    def test_fingerprint_mismatch_refused(self, small_files, tmp_path):
-        other = tmp_path / "other.json"
-        main(["scenario-init", "--custom", "--tx", "3", "--rx", "3", "--f-count", "3",
-              "--center", "0,0,0.25", "--extent", "0.1,0.1,0.02", "--dims", "5,5,2",
-              "--radius", "0.12", "--out", str(other)])
-        code = main(
-            ["reconstruct", "--scenario", str(other),
-             "--measurements", str(small_files["measurements"]),
-             "--method", "pgm", "--out", str(tmp_path / "x.nfmv")]
-        )
+    def test_fingerprint_mismatch_refused(self, small_files, tmp_path, capsys):
+        def other_scenario(n_tx):
+            path = tmp_path / f"other{n_tx}.json"
+            main(["scenario-init", "--custom", "--tx", str(n_tx), "--rx", "3", "--f-count", "3",
+                  "--center", "0,0,0.25", "--extent", "0.1,0.1,0.02", "--dims", "5,5,2",
+                  "--radius", "0.12", "--out", str(path)])
+            return path
+
+        def reconstruct(scenario, out, *flags):
+            capsys.readouterr()
+            return main(
+                ["reconstruct", "--scenario", str(scenario),
+                 "--measurements", str(small_files["measurements"]),
+                 "--method", "pgm", "--max-iters", "5", "--out", str(out), *flags]
+            )
+
+        # same 27 channels as the file, another scenario: refused unless allowed
+        same_size = other_scenario(3)
+        assert reconstruct(same_size, tmp_path / "x.nfmv") == 1
+        assert not (tmp_path / "x.nfmv").exists()
+        allowed = tmp_path / "allowed.nfmv"
+        assert reconstruct(same_size, allowed, "--allow-fingerprint-mismatch") == 0
+        assert read_volume(allowed).grid.dims == (5, 5, 2)
+        # 18 channels: the flag cannot pair 27 values with them
+        code = reconstruct(other_scenario(2), tmp_path / "y.nfmv", "--allow-fingerprint-mismatch")
         assert code == 1
+        assert "27 values for 18 channels" in capsys.readouterr().err
+        assert not (tmp_path / "y.nfmv").exists()
 
     def test_time_budget_cause(self, small_files, tmp_path):
         report = tmp_path / "report.json"

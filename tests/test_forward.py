@@ -16,7 +16,6 @@ import nfmimo.forward
 import nfmimo.solver
 from nfmimo import (
     ArrayGeometry,
-    ChannelIndex,
     ChannelSubset,
     DenseCapError,
     FrequencyGrid,
@@ -29,7 +28,6 @@ from nfmimo import (
     Vec3,
     VoxelGrid,
     adjoint_apply,
-    channel_of,
     data_fidelity,
     forward_apply,
     full_gradient,
@@ -89,15 +87,13 @@ class TestMatrixElement:
 
     def test_magnitude_is_spreading_loss_only(self, small_scenario, rng):
         scn = small_scenario
-        freqs = scn.frequencies.values()
+        centers = voxel_centers(scn.voxels)
         for m in rng.choice(scn.n_channels, size=6, replace=False):
             for n in rng.choice(scn.n_voxels, size=4, replace=False):
-                ci = channel_of(int(m), scn)
-                t = scn.array.transmitters[ci.ti].as_array()
-                r = scn.array.receivers[ci.ri].as_array()
-                from nfmimo import voxel_center
-
-                v = voxel_center(int(n), scn.voxels).as_array()
+                _, ti, ri = np.unravel_index(m, scn.channel_shape)
+                t = scn.array.transmitters[ti].as_array()
+                r = scn.array.receivers[ri].as_array()
+                v = centers[n]
                 d_t = np.linalg.norm(t - v)
                 d_r = np.linalg.norm(r - v)
                 expect = 1.0 / (4 * np.pi * d_t * d_r)
@@ -742,7 +738,7 @@ class TestChannelSplit:
             seen.extend(pos)
             assert np.all(np.diff(ts) > 0) and np.all(np.diff(rs) > 0)
             for k, t, r in zip(pos, ts[tpos], rs[rpos]):
-                assert channel_of(int(idx[k]), small_scenario) == ChannelIndex(f, t, r)
+                assert np.unravel_index(idx[k], small_scenario.channel_shape) == (f, t, r)
         assert freqs == sorted(set(freqs))
         assert sorted(seen) == list(range(idx.size))
 
@@ -824,6 +820,14 @@ class TestDomainTypes:
             vals[1] = bad
             with pytest.raises(ValueError, match="finite"):
                 MeasurementSet.for_scenario(vals, tiny_scenario)
+
+
+    @pytest.mark.parametrize("fingerprint", ["0" * 32, [0] * 32], ids=["str", "list"])
+    def test_measurement_fingerprint_must_be_bytes(self, tiny_scenario, fingerprint):
+        # 32 long, but never equal to a scenario's and unwritable to a file
+        kind = type(fingerprint).__name__
+        with pytest.raises(ValueError, match=f"fingerprint must be bytes, got {kind}"):
+            MeasurementSet(np.zeros(tiny_scenario.n_channels, dtype=complex), fingerprint)
 
     @pytest.mark.parametrize(
         "bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-infj"]

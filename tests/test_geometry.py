@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nfmimo import (
     ArrayGeometry,
-    ChannelIndex,
     ConstantPulse,
     FrequencyGrid,
     ImagingScenario,
@@ -15,14 +14,13 @@ from nfmimo import (
     TabulatedPulse,
     Vec3,
     VoxelGrid,
-    channel_of,
-    flat_channel,
     make_spiral_array,
+    matrix_element,
     preset_scenario,
     scenario_fingerprint,
-    voxel_center,
     voxel_centers,
 )
+from nfmimo.geometry import _center
 
 PAPER_GRID = VoxelGrid(center=Vec3(0, 0, 0.5), extent=(0.3, 0.3, 0.1), dims=(61, 61, 21))
 
@@ -75,25 +73,25 @@ class TestFrequencyGrid:
 
 class TestVoxelGrid:
     def test_corner_voxel_is_center_minus_half_extent(self):
-        assert voxel_center(0, PAPER_GRID) == Vec3(-0.15, -0.15, 0.45)
+        assert voxel_centers(PAPER_GRID)[0].tolist() == [-0.15, -0.15, 0.45]
 
     def test_middle_voxel_is_scene_center(self):
         n = 30 + 61 * (30 + 61 * 10)
-        assert voxel_center(n, PAPER_GRID) == Vec3(0.0, 0.0, 0.5)
+        assert voxel_centers(PAPER_GRID)[n].tolist() == [0.0, 0.0, 0.5]
 
     def test_x_neighbor_spacing(self):
-        v = voxel_center(1, PAPER_GRID)
-        assert v.x == pytest.approx(-0.145, abs=1e-15)
-        assert (v.y, v.z) == (-0.15, 0.45)
+        x, y, z = voxel_centers(PAPER_GRID)[1]
+        assert x == pytest.approx(-0.145, abs=1e-15)
+        assert (y, z) == (-0.15, 0.45)
 
     def test_spacing_is_half_centimeter(self):
         assert PAPER_GRID.spacing == pytest.approx((0.005, 0.005, 0.005), rel=1e-12)
 
     def test_out_of_range_index(self):
-        with pytest.raises(IndexError):
-            voxel_center(PAPER_GRID.n_voxels, PAPER_GRID)
-        with pytest.raises(IndexError):
-            voxel_center(-1, PAPER_GRID)
+        scn = preset_scenario("paper-v")
+        for n in (scn.n_voxels, -1):
+            with pytest.raises(IndexError, match=f"voxel index {n} out of range"):
+                matrix_element(0, n, scn)
 
     def test_single_voxel_axis_needs_zero_extent(self):
         with pytest.raises(ValueError):
@@ -105,16 +103,16 @@ class TestVoxelGrid:
         with pytest.raises(ValueError, match=r"dims\[0\] must be a whole number"):
             VoxelGrid(center=Vec3(0, 0, 0), extent=(0.1, 0.1, 0.0), dims=(3.9, 3, 1))
 
-    def test_exhaustive_flat_index_round_trip_at_paper_size(self):
+    def test_exhaustive_flat_numbering_round_trip_at_paper_size(self):
         nx, ny, nz = PAPER_GRID.dims
         n = np.arange(PAPER_GRID.n_voxels)
         ix = n % nx
         iy = (n // nx) % ny
         iz = n // (nx * ny)
         assert np.array_equal(ix + nx * (iy + ny * iz), n)
-        # spot-check the scalar API agrees with the vectorized decode
-        for k in (0, 1, 61, 3720, 78140):
-            assert PAPER_GRID.flat_index(*PAPER_GRID.indices_of(k)) == k
+        decoded = np.unravel_index(n, PAPER_GRID.shape)
+        assert all(np.array_equal(a, b) for a, b in zip(decoded, (iz, iy, ix)))
+        assert np.array_equal(np.ravel_multi_index((iz, iy, ix), PAPER_GRID.shape), n)
 
     def test_all_voxel_centers_distinct_at_paper_size(self):
         centers = voxel_centers(PAPER_GRID)
@@ -122,10 +120,12 @@ class TestVoxelGrid:
         assert np.unique(centers, axis=0).shape[0] == 78141
 
     def test_voxel_centers_match_scalar_op(self):
+        # matrix_element takes one center from _center with int indices
         grid = VoxelGrid(center=Vec3(0.01, -0.02, 0.3), extent=(0.1, 0.2, 0.0), dims=(3, 4, 1))
         centers = voxel_centers(grid)
         for n in range(grid.n_voxels):
-            assert np.allclose(centers[n], voxel_center(n, grid).as_array(), atol=0, rtol=0)
+            iz, iy, ix = map(int, np.unravel_index(n, grid.shape))
+            assert centers[n].tolist() == list(_center(grid, ix, iy, iz))
 
 
 class TestFlatOrderings:
@@ -134,37 +134,53 @@ class TestFlatOrderings:
         assert scn.channel_shape == (11, 16, 9)
         assert scn.voxels.shape == (21, 61, 61)
         channels = np.arange(scn.n_channels).reshape(scn.channel_shape)
-        assert channels[2, 5, 7] == flat_channel(ChannelIndex(2, 5, 7), scn)
+        assert channels[2, 5, 7] == 7 + 9 * (5 + 16 * 2)  # receiver fastest
         voxels = np.arange(scn.n_voxels).reshape(scn.voxels.shape)
-        assert voxels[3, 4, 5] == scn.voxels.flat_index(5, 4, 3)
+        assert voxels[3, 4, 5] == 5 + 61 * (4 + 61 * 3)  # x fastest
         with pytest.raises(AttributeError):
             scn.channel_shape = (1, 1, 1)
         with pytest.raises(AttributeError):
             scn.voxels.shape = (1, 1, 1)
 
 
-class TestChannelIndexing:
+def _element(scn, fi, ti, ri, n):
+    """A[m, n] from the propagation formula at (fi, ti, ri) and voxel n."""
+    f = scn.frequencies.values()[fi]
+    v = voxel_centers(scn.voxels)[n]
+    d_t = np.linalg.norm(scn.array.transmitters[ti].as_array() - v)
+    d_r = np.linalg.norm(scn.array.receivers[ri].as_array() - v)
+    p = scn.pulse.evaluate(np.array([f]))[0]
+    return p * np.exp(-2j * math.pi * f * (d_t + d_r) / scn.c) / (4 * math.pi * d_t * d_r)
+
+
+class TestChannelNumbering:
     def test_first_channel(self, tiny_scenario):
-        assert channel_of(0, tiny_scenario) == ChannelIndex(0, 0, 0)
+        assert np.unravel_index(0, tiny_scenario.channel_shape) == (0, 0, 0)
+        assert matrix_element(0, 3, tiny_scenario) == pytest.approx(
+            _element(tiny_scenario, 0, 0, 0, 3), rel=1e-12
+        )
 
     def test_paper_examples(self):
         scn = preset_scenario("paper-v")
-        assert channel_of(9, scn) == ChannelIndex(fi=0, ti=1, ri=0)
-        assert channel_of(144, scn) == ChannelIndex(fi=1, ti=0, ri=0)
+        assert np.unravel_index(9, scn.channel_shape) == (0, 1, 0)
+        assert np.unravel_index(144, scn.channel_shape) == (1, 0, 0)
+        for m, fti in ((9, (0, 1, 0)), (144, (1, 0, 0))):
+            assert matrix_element(m, 4321, scn) == pytest.approx(
+                _element(scn, *fti, 4321), rel=1e-12
+            )
 
     def test_out_of_range(self, tiny_scenario):
-        with pytest.raises(IndexError):
-            channel_of(tiny_scenario.n_channels, tiny_scenario)
-        with pytest.raises(IndexError):
-            channel_of(-1, tiny_scenario)
-        with pytest.raises(IndexError):
-            flat_channel(ChannelIndex(0, 0, 99), tiny_scenario)
+        for m in (tiny_scenario.n_channels, -1):
+            with pytest.raises(IndexError, match=f"channel index {m} out of range"):
+                matrix_element(m, 0, tiny_scenario)
 
     def test_exhaustive_round_trip_at_paper_size(self):
         scn = preset_scenario("paper-v")
         assert scn.n_channels == 1584
-        for m in range(1584):
-            assert flat_channel(channel_of(m, scn), scn) == m
+        m = np.arange(1584)
+        fi, ti, ri = np.unravel_index(m, scn.channel_shape)
+        assert np.array_equal(ri + 9 * (ti + 16 * fi), m)
+        assert np.array_equal(np.ravel_multi_index((fi, ti, ri), scn.channel_shape), m)
 
     @given(
         nf=st.integers(1, 5),
@@ -180,7 +196,9 @@ class TestChannelIndexing:
             voxels=VoxelGrid(center=Vec3(0, 0, 0.3), extent=(0, 0, 0), dims=(1, 1, 1)),
         )
         m = data.draw(st.integers(0, scn.n_channels - 1))
-        assert flat_channel(channel_of(m, scn), scn) == m
+        fti = np.unravel_index(m, scn.channel_shape)
+        assert fti == (m // (nt * nr), m // nr % nt, m % nr)
+        assert matrix_element(m, 0, scn) == pytest.approx(_element(scn, *fti, 0), rel=1e-12)
 
 
 class TestSpiralArray:
@@ -277,6 +295,10 @@ class TestImagingScenario:
             pulse=a.pulse,
         )
         assert scenario_fingerprint(other) != scenario_fingerprint(a)
+        # files written for paper-v pair with it by this digest
+        assert scenario_fingerprint(a).hex() == (
+            "1b2602e6c642c2288e26d343cf675a96291ae84e5bf261d2d4726f76f1a3ef08"
+        )
 
     def test_equal_scenarios_hash_equal_and_each_hashes_once(self, monkeypatch):
         calls = []

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from nfmimo import (
+    ArrayGeometry,
+    FrequencyGrid,
+    ImagingScenario,
     MeasurementSet,
     ReflectivityVolume,
+    TabulatedPulse,
     Vec3,
     VoxelGrid,
     preset_scenario,
@@ -268,8 +272,6 @@ class TestFuzzing:
 
 
 def _tabulated_scenario():
-    from nfmimo import ArrayGeometry, FrequencyGrid, ImagingScenario, TabulatedPulse
-
     return ImagingScenario(
         array=ArrayGeometry(
             transmitters=(Vec3(0.02, 0, 0),), receivers=(Vec3(-0.02, 0, 0),)
@@ -290,6 +292,23 @@ class TestScenarioJson:
         back = read_scenario(path)
         assert back == scn
         assert scenario_fingerprint(back) == scenario_fingerprint(scn)
+
+    def test_negative_zero_round_trip_keeps_fingerprint(self, tmp_path):
+        # "-0" in a file reads back as the int 0; the canonical form writes 0
+        scn = ImagingScenario(
+            array=ArrayGeometry(
+                transmitters=(Vec3(-0.0, 0.05, 0.0),), receivers=(Vec3(0.04, -0.0, 0.0),)
+            ),
+            frequencies=FrequencyGrid(4e9, 5e9, 2),
+            voxels=VoxelGrid(center=Vec3(0.0, -0.0, 0.3), extent=(0.02, 0.02, 0.0), dims=(3, 3, 1)),
+        )
+        write_scenario(scn, tmp_path / "scn.json")
+        back = read_scenario(tmp_path / "scn.json")
+        assert scenario_fingerprint(back) == scenario_fingerprint(scn)
+        mset = simulate_measurements(np.ones(scn.n_voxels, dtype=complex), scn)
+        write_measurements(mset, tmp_path / "m.nfms")
+        read = read_measurements(tmp_path / "m.nfms", scenario=back)
+        assert read.values.tobytes() == mset.values.tobytes()
 
     def test_round_trip_small_scenario(self, small_scenario, tmp_path):
         path = tmp_path / "scn.json"

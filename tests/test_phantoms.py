@@ -36,12 +36,14 @@ class TestPoints:
 class TestLines:
     def test_bar(self):
         values = make_phantom("bar", GRID).values
-        assert np.flatnonzero(values).tolist() == [GRID.flat_index(ix, 3, 1) for ix in range(2, 7)]
+        assert np.flatnonzero(values).tolist() == [ix + 9 * (3 + 7 * 1) for ix in range(2, 7)]
+        assert np.argwhere(values.reshape(GRID.shape)).tolist() == [[1, 3, ix] for ix in range(2, 7)]
 
     def test_cross(self):
         values = make_phantom("cross", GRID).values
         assert np.count_nonzero(values) == 9
-        assert all(values[GRID.flat_index(4, iy, 1)] == 1.0 for iy in range(1, 6))
+        assert all(values[4 + 9 * (iy + 7 * 1)] == 1.0 for iy in range(1, 6))
+        assert np.all(values.reshape(GRID.shape)[1, 1:6, 4] == 1.0)
 
 
 class TestFile:
