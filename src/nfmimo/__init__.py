@@ -37,9 +37,8 @@ from .solver import (
     SolveReport,
     SolverConfig,
     data_fidelity,
-    full_gradient,
+    gradient,
     lipschitz_estimate,
-    minibatch_gradient,
     pgm_solve,
     relative_magnitude_change,
     sample_minibatch,

@@ -10,8 +10,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +260,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _check_out_dirs(*paths) -> None:
+    """Refuse, before any work, an output path whose directory is missing."""
+    for path in paths:
+        # dirname, not Path.parent: a slice prefix "d/" writes into d
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"the directory of output path {path} does not exist")
+
+
 def _cmd_reconstruct(args) -> int:
+    _check_out_dirs(args.out, args.report, args.slices)
     scenario = read_scenario(args.scenario)
     measurements = read_measurements(
         args.measurements, scenario=None if args.allow_fingerprint_mismatch else scenario
@@ -291,15 +301,9 @@ def _cmd_reconstruct(args) -> int:
             "seed": args.seed,
             "batch": list(args.batch) if args.batch else None,
             "time_budget_s": args.time_budget_s,
-            "iterations": report.iterations,
-            "wall_time_s": report.wall_time_s,
-            "plan_s": report.plan_s,
-            "plan_cached": report.plan_cached,
-            "plan_bytes": report.plan_bytes,
-            "termination": report.termination,
-            "per_iteration": [asdict(r) for r in report.per_iteration],
         }
-        Path(args.report).write_text(json.dumps(doc, indent=2) + "\n")
+        doc.update((f.name, getattr(report, f.name)) for f in fields(report) if f.name != "volume")
+        Path(args.report).write_text(json.dumps(doc, indent=2, default=asdict) + "\n")
     if args.slices:
         export_slices_csv(report.volume, args.slices)
     print(
@@ -318,6 +322,7 @@ def _cmd_psnr(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    _check_out_dirs(args.out)
     scenario = read_scenario(args.scenario)
     measurements = read_measurements(args.measurements, scenario=scenario)
     compositions = [MinibatchComposition(*c) for c in args.compositions]

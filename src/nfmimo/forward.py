@@ -60,6 +60,7 @@ from .geometry import (
     VoxelGrid,
     _center,
     _count,
+    _is_integer,
     _real,
     scenario_fingerprint,
     voxel_centers,
@@ -182,6 +183,8 @@ def _element_row(scenario: ImagingScenario, m: int, centers: np.ndarray) -> np.n
 def matrix_element(m: int, n: int, scenario: ImagingScenario) -> complex:
     """Single operator entry A[m, n]."""
     for name, i, count in (("channel", m, scenario.n_channels), ("voxel", n, scenario.n_voxels)):
+        if not _is_integer(i):
+            raise ValueError(f"{name} index must be an integer, got {i!r}")
         if not 0 <= i < count:
             raise IndexError(f"{name} index {i} out of range [0, {count})")
     iz, iy, ix = map(int, np.unravel_index(n, scenario.voxels.shape))

@@ -40,12 +40,19 @@ def _real(name: str, value, above: float | None = None, at_least: float | None =
     return v
 
 
+def _is_integer(value) -> bool:
+    """Python and numpy integers; a bool is not one. The exact-type test comes
+    first because an ABC check costs about 1 us, and matrix_element runs
+    this per call."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+
+
 def _count(name: str, value, minimum: int = 1) -> int:
     """``value`` as an int >= ``minimum``: integers and integral floats pass, a
     fraction is refused rather than truncated."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    ):
+    if not (_is_integer(value) or (isinstance(value, float) and value.is_integer())):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     v = int(value)
     if v < minimum:

@@ -98,29 +98,33 @@ def run_sweep(
     """
     for comp in compositions:
         comp.validate_for(scenario)
-    records: list[SweepRecord] = []
-    if not compositions or not seeds:
-        return records
+    # every config is checked before the reference solve, which can take minutes
+    configs = [
+        replace(base_config, composition=comp, rng_seed=seed)
+        for comp in compositions
+        for seed in seeds
+    ]
+    if not configs:
+        return []
     ref_report = pgm_solve(y, scenario, replace(base_config, composition=None))
     reference = ref_report.volume
-    for comp in compositions:
-        full = (comp.n_f, comp.n_tx, comp.n_rx) == scenario.channel_shape
-        for seed in seeds:
-            if full:
-                report = ref_report
-            else:
-                cfg = replace(base_config, composition=comp, rng_seed=seed)
-                report = spgm_solve(y, scenario, cfg)
-            quality = psnr_vs_reference(report.volume, reference)
-            records.append(
-                SweepRecord(
-                    composition=comp,
-                    seed=int(seed),
-                    iterations=report.iterations,
-                    runtime_s=report.wall_time_s,
-                    psnr_db=quality.psnr_db,
-                )
+    records: list[SweepRecord] = []
+    for cfg in configs:
+        comp = cfg.composition
+        if (comp.n_f, comp.n_tx, comp.n_rx) == scenario.channel_shape:
+            report = ref_report
+        else:
+            report = spgm_solve(y, scenario, cfg)
+        quality = psnr_vs_reference(report.volume, reference)
+        records.append(
+            SweepRecord(
+                composition=comp,
+                seed=cfg.rng_seed,
+                iterations=report.iterations,
+                runtime_s=report.wall_time_s,
+                psnr_db=quality.psnr_db,
             )
+        )
     return records
 
 

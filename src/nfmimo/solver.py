@@ -45,8 +45,7 @@ __all__ = [
     "IterationRecord",
     "SolveReport",
     "data_fidelity",
-    "full_gradient",
-    "minibatch_gradient",
+    "gradient",
     "sample_minibatch",
     "soft_threshold",
     "relative_magnitude_change",
@@ -143,7 +142,11 @@ class SolveReport:
     """``wall_time_s`` covers the iterations only; ``plan_s`` is the time spent
     fetching or building the operator plan before them (near 0 when cached).
     ``plan_cached`` says whether the plan was cached before the solve and
-    ``plan_bytes`` is the size of its phasor tables and pulse values."""
+    ``plan_bytes`` is the size of its phasor tables and pulse values.
+
+    ``reconstruct --report`` writes every field except ``volume`` as is, so
+    each of those fields must be JSON-serializable (a dataclass as its
+    ``asdict``)."""
 
     volume: ReflectivityVolume
     iterations: int
@@ -170,34 +173,33 @@ def _measurement_values(y, scenario: ImagingScenario) -> np.ndarray:
     return values
 
 
+def _residual(s, yv: np.ndarray, scenario: ImagingScenario, subset: ChannelSubset) -> np.ndarray:
+    """A_sub s - y_sub over the subset's channels."""
+    return forward_apply(s, scenario, subset=subset) - yv[subset.indices]
+
+
 def data_fidelity(s, y, scenario: ImagingScenario, subset=None) -> float:
     """Mean squared residual over the selected channels: (1/B) sum of
     half squared residual magnitudes (B = M when subset is None)."""
     yv = _measurement_values(y, scenario)
-    subset = _channel_subset(subset, scenario)
-    resid = forward_apply(s, scenario, subset=subset) - yv[subset.indices]
+    resid = _residual(s, yv, scenario, _channel_subset(subset, scenario))
     return 0.5 * float(np.mean(np.abs(resid) ** 2))
 
 
 def _gradient(s, yv: np.ndarray, scenario: ImagingScenario, subset: ChannelSubset) -> np.ndarray:
-    resid = forward_apply(s, scenario, subset=subset) - yv[subset.indices]
+    resid = _residual(s, yv, scenario, subset)
     return adjoint_apply(resid, scenario, subset=subset) / len(subset)
 
 
-def full_gradient(s, y, scenario: ImagingScenario) -> np.ndarray:
-    """Conjugate gradient of the data fidelity: (1/M) A^H (A s - y)."""
-    yv = _measurement_values(y, scenario)
-    return _gradient(s, yv, scenario, _channel_subset(None, scenario))
+def gradient(s, y, scenario: ImagingScenario, subset=None) -> np.ndarray:
+    """Conjugate gradient of the data fidelity over the selected channels,
+    (1/B) A_sub^H (A_sub s - y_sub); None selects all M channels, giving
+    (1/M) A^H (A s - y).
 
-
-def minibatch_gradient(s, y, scenario: ImagingScenario, subset) -> np.ndarray:
-    """Minibatch gradient estimate (1/B) A_sub^H (A_sub s - y_sub).
-
-    With the full channel set this reduces bit-for-bit to full_gradient
-    (identical code path and reduction order).
+    Every channel in canonical order gives the bits of None (identical code
+    path and reduction order), so an SPGM step on the full channel set is
+    the PGM step.
     """
-    if subset is None:
-        raise ValueError("minibatch_gradient requires a non-empty channel subset")
     yv = _measurement_values(y, scenario)
     return _gradient(s, yv, scenario, _channel_subset(subset, scenario))
 

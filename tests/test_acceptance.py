@@ -22,7 +22,7 @@ from nfmimo import (
     VoxelGrid,
     adjoint_apply,
     forward_apply,
-    full_gradient,
+    gradient,
     make_phantom,
     make_spiral_array,
     materialize_dense,
@@ -166,7 +166,7 @@ def test_criterion_03_gradient_against_finite_differences():
     rng = np.random.default_rng(1)
     s = random_complex(rng, scn.n_voxels)
     y = random_complex(rng, scn.n_channels)
-    g = full_gradient(s, y, scn)
+    g = gradient(s, y, scn)
     g_fd = fd_gradient(dense, s, y, h=1e-6)
     rel = float(np.max(np.abs(g - g_fd) / np.abs(g_fd)))
     _report(

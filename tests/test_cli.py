@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import nfmimo
-from nfmimo import ReflectivityVolume, forward_apply, lipschitz_estimate
+from nfmimo import ReflectivityVolume, SolveReport, SolverConfig, forward_apply, lipschitz_estimate
 from nfmimo.cli import main
 from nfmimo.io import read_measurements, read_scenario, read_volume, write_volume
 
@@ -250,6 +251,36 @@ class TestReconstruct:
         assert isinstance(doc["plan_cached"], bool)
         # 3 frequencies, 3 + 3 antennas, 50 voxels, 16 bytes per complex entry
         assert doc["plan_bytes"] == 16 * 3 * (6 * 50 + 1)
+
+    def test_report_is_the_flags_then_the_solve_report(self, small_files, tmp_path, monkeypatch):
+        reports, solve = [], nfmimo.cli.spgm_solve
+        monkeypatch.setattr(
+            nfmimo.cli, "spgm_solve", lambda *args: reports.append(solve(*args)) or reports[-1]
+        )
+        report = tmp_path / "report.json"
+        code = main(
+            ["reconstruct", "--scenario", str(small_files["scenario"]),
+             "--measurements", str(small_files["measurements"]),
+             "--method", "spgm", "--batch", "1,2,2", "--max-iters", "4", "--tol", "1e-30",
+             "--out", str(tmp_path / "x.nfmv"), "--report", str(report)]
+        )
+        assert code == 0
+        doc = json.loads(report.read_text())
+        flags = {
+            "method": "spgm", "eta": SolverConfig.eta, "alpha": SolverConfig.alpha,
+            "tol": 1e-30, "max_iters": 4, "seed": 0, "batch": [1, 2, 2], "time_budget_s": None,
+        }
+        (solved,) = reports
+        fields = {
+            f.name: getattr(solved, f.name)
+            for f in dataclasses.fields(SolveReport)
+            if f.name != "volume"
+        }
+        fields["per_iteration"] = [dataclasses.asdict(r) for r in solved.per_iteration]
+        assert doc == {**flags, **fields}
+        # the benchmark harness reads these three
+        assert {"wall_time_s", "termination"} <= set(doc)
+        assert "elapsed_seconds" in doc["per_iteration"][0]
 
     def test_spgm_requires_batch(self, small_files, tmp_path):
         code = main(
@@ -578,6 +609,35 @@ class TestExitCodes:
 
     def test_info_requires_scenario_flag(self):
         assert main(["info"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("reconstruct", "--out"), ("reconstruct", "--report"), ("reconstruct", "--slices"),
+         ("benchmark", "--out")],
+        ids=["out", "report", "slices", "benchmark-out"],
+    )
+    def test_missing_output_directory_refused_before_reading(
+        self, small_files, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("the measurements were read")
+
+        monkeypatch.setattr(nfmimo.cli, "read_measurements", unread)
+        argv = [command, "--scenario", str(small_files["scenario"]),
+                "--measurements", str(small_files["measurements"]), "--max-iters", "2"]
+        if command == "reconstruct":
+            argv += ["--method", "pgm"]
+            outs = {"--out": "x.nfmv", "--report": "r.json", "--slices": "sl"}
+        else:
+            argv += ["--compositions", "1,1,1", "--seeds", "0"]
+            outs = {"--out": "x.csv"}
+        outs[flag] = "nodir/x"
+        for name, path in outs.items():
+            argv += [name, str(tmp_path / path)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert str(tmp_path / "nodir/x") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -30,13 +30,12 @@ from nfmimo import (
     adjoint_apply,
     data_fidelity,
     forward_apply,
-    full_gradient,
+    gradient,
     lipschitz_estimate,
     make_phantom,
     make_spiral_array,
     materialize_dense,
     matrix_element,
-    minibatch_gradient,
     pgm_solve,
     preset_scenario,
     sample_minibatch,
@@ -106,6 +105,29 @@ class TestMatrixElement:
             matrix_element(tiny_scenario.n_channels, 0, tiny_scenario)
         with pytest.raises(IndexError):
             matrix_element(0, tiny_scenario.n_voxels, tiny_scenario)
+
+    @pytest.mark.parametrize(
+        "m, n, name",
+        [
+            (True, 0, "channel"),
+            (1.0, 0, "channel"),
+            (np.float64(1.0), 0, "channel"),
+            ("1", 0, "channel"),
+            (0, False, "voxel"),
+            (0, np.bool_(True), "voxel"),
+            (0, 2.0, "voxel"),
+        ],
+        ids=["bool", "float", "np-float", "str", "voxel-bool", "voxel-np-bool", "voxel-float"],
+    )
+    def test_index_must_be_an_integer(self, tiny_scenario, m, n, name):
+        # a bool would read as index 0 or 1, a float as whatever numpy makes of it
+        with pytest.raises(ValueError, match=f"{name} index must be an integer"):
+            matrix_element(m, n, tiny_scenario)
+
+    def test_numpy_integers_are_indices(self, tiny_scenario):
+        assert matrix_element(np.int64(5), np.int32(3), tiny_scenario) == matrix_element(
+            5, 3, tiny_scenario
+        )
 
 
 class TestMaterializeDense:
@@ -701,9 +723,9 @@ class TestChannelSubset:
         [
             lambda s, y, scn, sub: forward_apply(s, scn, subset=sub),
             lambda s, y, scn, sub: data_fidelity(s, y, scn, subset=sub),
-            lambda s, y, scn, sub: minibatch_gradient(s, y, scn, sub),
+            lambda s, y, scn, sub: gradient(s, y, scn, sub),
         ],
-        ids=["forward_apply", "data_fidelity", "minibatch_gradient"],
+        ids=["forward_apply", "data_fidelity", "gradient"],
     )
     def test_bad_subset_rejected_alike(self, tiny_scenario, indices, error, match, consumer):
         s = np.zeros(tiny_scenario.n_voxels, dtype=complex)
@@ -833,7 +855,7 @@ class TestDomainTypes:
         "bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-infj"]
     )
     @pytest.mark.parametrize(
-        "apply", ["forward_apply", "data_fidelity", "full_gradient", "minibatch_gradient"]
+        "apply", ["forward_apply", "data_fidelity", "gradient", "gradient_subset"]
     )
     def test_raw_volume_must_be_finite(self, tiny_scenario, apply, bad):
         s = np.zeros(tiny_scenario.n_voxels, dtype=complex)
@@ -842,8 +864,8 @@ class TestDomainTypes:
         calls = {
             "forward_apply": lambda: forward_apply(s, tiny_scenario),
             "data_fidelity": lambda: data_fidelity(s, y, tiny_scenario),
-            "full_gradient": lambda: full_gradient(s, y, tiny_scenario),
-            "minibatch_gradient": lambda: minibatch_gradient(s, y, tiny_scenario, [0, 3]),
+            "gradient": lambda: gradient(s, y, tiny_scenario),
+            "gradient_subset": lambda: gradient(s, y, tiny_scenario, [0, 3]),
         }
         with pytest.raises(ValueError, match="voxel values must be finite"):
             calls[apply]()

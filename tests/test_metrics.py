@@ -165,6 +165,15 @@ class TestRunSweep:
         b = run_sweep(y, tiny_scenario, SolverConfig(max_iters=10, tol=1e-30), comps, [5])
         assert a[0].psnr_db == b[0].psnr_db
 
+    @pytest.mark.parametrize("comp", [(1, 1, 1), (2, 2, 2)], ids=["minibatch", "full"])
+    def test_bad_seed_refused_before_the_reference(self, tiny_scenario, monkeypatch, comp):
+        solved = []
+        monkeypatch.setattr(nfmimo.metrics, "pgm_solve", lambda *args: solved.append(args))
+        y = np.zeros(tiny_scenario.n_channels, dtype=complex)
+        with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+            run_sweep(y, tiny_scenario, SolverConfig(), [MinibatchComposition(*comp)], [1, -1])
+        assert solved == []
+
 
 class TestSweepCsv:
     def test_header_and_inf_sentinel(self, tmp_path, tiny_scenario):

@@ -14,13 +14,12 @@ from nfmimo import (
     SolverConfig,
     data_fidelity,
     forward_apply,
-    full_gradient,
+    gradient,
     lipschitz_estimate,
     make_phantom,
     make_spiral_array,
     materialize_dense,
     matrix_element,
-    minibatch_gradient,
     pgm_solve,
     relative_magnitude_change,
     sample_minibatch,
@@ -89,7 +88,7 @@ class TestFullGradient:
         s = random_complex(rng, small_scenario.n_voxels)
         y = forward_apply(s, small_scenario)
         assert np.array_equal(
-            full_gradient(s, y, small_scenario), np.zeros(small_scenario.n_voxels)
+            gradient(s, y, small_scenario), np.zeros(small_scenario.n_voxels)
         )
 
     def test_scalar_case(self):
@@ -102,14 +101,14 @@ class TestFullGradient:
         s = np.array([0.3 - 0.8j])
         y = np.array([1.1 + 0.4j])
         expect = np.conj(a00) * (a00 * s[0] - y[0])
-        got = full_gradient(s, y, scn)[0]
+        got = gradient(s, y, scn)[0]
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_matches_finite_differences(self, small_scenario, rng):
         dense = materialize_dense(small_scenario)
         s = random_complex(rng, small_scenario.n_voxels)
         y = random_complex(rng, small_scenario.n_channels)
-        g = full_gradient(s, y, small_scenario)
+        g = gradient(s, y, small_scenario)
         g_fd = fd_gradient(dense, s, y)
         rel = np.abs(g - g_fd) / np.abs(g_fd)
         assert np.max(rel) < 1e-5
@@ -163,14 +162,11 @@ class TestSampleMinibatch:
 
 
 class TestMinibatchGradient:
-    def test_full_subset_is_bitwise_full_gradient(self, small_scenario, rng):
+    def test_every_channel_is_bitwise_subset_none(self, small_scenario, rng):
         s = random_complex(rng, small_scenario.n_voxels)
         y = random_complex(rng, small_scenario.n_channels)
         sub = np.arange(small_scenario.n_channels)
-        assert np.array_equal(
-            minibatch_gradient(s, y, small_scenario, sub),
-            full_gradient(s, y, small_scenario),
-        )
+        assert np.array_equal(gradient(s, y, small_scenario, sub), gradient(s, y, small_scenario))
 
     def test_single_component(self, small_scenario, rng):
         s = random_complex(rng, small_scenario.n_voxels)
@@ -180,26 +176,20 @@ class TestMinibatchGradient:
             [matrix_element(m0, n, small_scenario) for n in range(small_scenario.n_voxels)]
         )
         expect = np.conj(row) * (row @ s - y[m0])
-        got = minibatch_gradient(s, y, small_scenario, np.array([m0]))
+        got = gradient(s, y, small_scenario, np.array([m0]))
         assert np.allclose(got, expect, rtol=1e-12, atol=0)
-
-    def test_requires_subset(self, small_scenario, rng):
-        s = random_complex(rng, small_scenario.n_voxels)
-        y = random_complex(rng, small_scenario.n_channels)
-        with pytest.raises(ValueError):
-            minibatch_gradient(s, y, small_scenario, None)
 
     def test_unbiasedness_monte_carlo(self, sampling_scenario, rng):
         s = random_complex(rng, sampling_scenario.n_voxels)
         y = random_complex(rng, sampling_scenario.n_channels)
-        target = full_gradient(s, y, sampling_scenario)
+        target = gradient(s, y, sampling_scenario)
         draw_rng = np.random.default_rng(77)
         comp = MinibatchComposition(1, 1, 1)
         total = np.zeros(sampling_scenario.n_voxels, dtype=np.complex128)
         draws = 10_000
         for _ in range(draws):
             sub = sample_minibatch(comp, sampling_scenario, draw_rng)
-            total += minibatch_gradient(s, y, sampling_scenario, sub)
+            total += gradient(s, y, sampling_scenario, sub)
         avg = total / draws
         assert np.linalg.norm(avg - target) <= 0.02 * np.linalg.norm(target)
 
@@ -313,7 +303,7 @@ class TestPgmSolve:
     def test_threshold_dominates_from_zero(self, small_scenario, rng):
         y = random_complex(rng, small_scenario.n_channels)
         eta = 1e-3
-        g0 = full_gradient(np.zeros(small_scenario.n_voxels), y, small_scenario)
+        g0 = gradient(np.zeros(small_scenario.n_voxels), y, small_scenario)
         alpha = eta * float(np.max(np.abs(g0))) * 1.01
         report = pgm_solve(
             y, small_scenario, SolverConfig(eta=eta, alpha=alpha, max_iters=20)
@@ -416,10 +406,10 @@ class TestPgmSolve:
             nfmimo.forward, "scenario_fingerprint", lambda scn: calls.append(1) or fingerprint(scn)
         )
         y = random_complex(rng, small_scenario.n_channels)
-        full_gradient(np.zeros(small_scenario.n_voxels), y, small_scenario)
+        gradient(np.zeros(small_scenario.n_voxels), y, small_scenario)
         assert calls == []
         with pytest.raises(ValueError, match="fingerprint or size does not match"):
-            full_gradient(np.zeros(small_scenario.n_voxels), y[:-1], small_scenario)
+            gradient(np.zeros(small_scenario.n_voxels), y[:-1], small_scenario)
 
     def test_fingerprint_checked_for_measurement_sets(self, small_scenario, tiny_scenario, rng):
         mset = simulate_measurements(
