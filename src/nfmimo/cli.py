@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .forward import simulate_measurements
+from .forward import _with_noise, forward_apply, simulate_measurements
 from .geometry import (
     ConstantPulse,
     FrequencyGrid,
@@ -229,16 +229,20 @@ def _truth_path(out: str) -> Path:
     return p.with_name(p.stem + "_truth.nfmv")
 
 
-def _snr_sigma(phantom, scenario: ImagingScenario, snr_db: float) -> float:
-    """The noise std that puts the clean measurements of ``phantom`` at a
-    measurement SNR of ``snr_db`` dB."""
+def _noise_to_signal(snr_db: float) -> float:
+    """The noise-to-signal power ratio of a measurement SNR of ``snr_db`` dB."""
     try:
-        noise_to_signal = 10 ** (-snr_db / 10)
+        ratio = 10 ** (-snr_db / 10)
     except OverflowError:
-        noise_to_signal = math.inf
-    if not (math.isfinite(noise_to_signal) and noise_to_signal > 0):
+        ratio = math.inf
+    if not (math.isfinite(ratio) and ratio > 0):
         raise ValueError(f"--snr-db {snr_db} gives no finite, nonzero noise power")
-    clean = simulate_measurements(phantom, scenario).values
+    return ratio
+
+
+def _snr_sigma(clean: np.ndarray, noise_to_signal: float) -> float:
+    """The noise std that puts the clean measurements ``clean`` at the given
+    noise-to-signal power ratio."""
     power = float(np.mean(np.abs(clean) ** 2))
     if power == 0.0:
         raise ValueError("--snr-db is undefined: the phantom's clean measurements are all zero")
@@ -246,12 +250,18 @@ def _snr_sigma(phantom, scenario: ImagingScenario, snr_db: float) -> float:
 
 
 def _cmd_simulate(args) -> int:
+    _check_out_dirs(args.out)  # the truth volume goes next to --out
     scenario = read_scenario(args.scenario)
     phantom = make_phantom(args.phantom, scenario.voxels, rng_seed=args.seed)
-    sigma = args.noise
     if hasattr(args, "snr_db"):
-        sigma = _snr_sigma(phantom, scenario, args.snr_db)
-    measurements = simulate_measurements(phantom, scenario, noise_sigma=sigma, rng_seed=args.seed)
+        ratio = _noise_to_signal(args.snr_db)
+        # one forward gives both the signal power and the measurements
+        clean = forward_apply(phantom, scenario)
+        sigma = _snr_sigma(clean, ratio)
+        measurements = _with_noise(clean, scenario, sigma, args.seed)
+    else:
+        sigma = args.noise
+        measurements = simulate_measurements(phantom, scenario, noise_sigma=sigma, rng_seed=args.seed)
     write_measurements(measurements, args.out)
     truth = _truth_path(args.out)
     write_volume(phantom, truth)

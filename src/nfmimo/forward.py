@@ -16,10 +16,11 @@ spaced, so the tables are built by recurrence: row f+1 is row f times the
 step phasor exp(-j*dw*d), dw = 2*pi*spacing/c, and every 8th row is
 evaluated from the formula, so the rounding error cannot grow with F.
 
-One builder makes the tables over a set of voxel centers. A volume is
-sparse when at most N/16 of its voxels are nonzero. The tables of every
-voxel (the plan, 16*F*(T+R)*N bytes) are built by the first adjoint on a
-scenario, by a solve before its clock starts, and by a forward of a volume
+One builder makes the tables over a set of flat voxel indices, with each
+distance from the antenna's squared offsets along the grid's three axes. A
+volume is sparse when at most N/16 of its voxels are nonzero. The tables of
+every voxel (the plan, 16*F*(T+R)*N bytes) are built by the first adjoint on
+a scenario, by a solve before its clock starts, and by a forward of a volume
 that is not sparse. Only the last scenario's plan stays cached: a plan for
 another scenario frees it first, so a process never holds two. Before a
 plan is cached, a forward of a sparse volume (a simulated phantom) builds
@@ -58,6 +59,7 @@ import numpy as np
 from .geometry import (
     ImagingScenario,
     VoxelGrid,
+    _axes,
     _center,
     _count,
     _is_integer,
@@ -223,19 +225,26 @@ class _OperatorPlan:
 _ANCHOR = 8  # table rows per directly evaluated row; the rest by recurrence
 
 
-def _tables(scenario: ImagingScenario, positions: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Phasor table (F, antennas, centers) by the anchored frequency recurrence.
+def _tables(scenario: ImagingScenario, positions: np.ndarray, voxels: np.ndarray) -> np.ndarray:
+    """Phasor table (F, antennas, voxels) over flat voxel indices, by the
+    anchored frequency recurrence.
 
-    Every entry depends on its own antenna and voxel center alone, so a table
-    over some of the centers holds the same bits as those columns of a table
-    over all of them.
+    Each distance is sqrt(sqx[ix] + sqy[iy] + sqz[iz]), from the antenna's
+    squared offsets along the grid's three axes, summed in x, y, z order: the
+    same bits as the per-center sqrt(sum((center - position) ** 2)). Every
+    entry depends on its own antenna and voxel alone, so a table over some of
+    the voxels holds the same bits as those columns of a table over all of
+    them.
     """
     freqs = scenario.frequencies.values()
     w = 2.0 * math.pi * freqs / scenario.c
     dw = 2.0 * math.pi * scenario.frequencies.spacing / scenario.c
-    tab = np.empty((freqs.size, positions.shape[0], centers.shape[0]), dtype=np.complex128)
+    axes = _axes(scenario.voxels)
+    iz, iy, ix = np.unravel_index(voxels, scenario.voxels.shape)
+    tab = np.empty((freqs.size, positions.shape[0], voxels.size), dtype=np.complex128)
     for a, position in enumerate(positions):
-        d = np.sqrt(np.sum((centers - position) ** 2, axis=1))
+        sqx, sqy, sqz = ((axis - p) ** 2 for axis, p in zip(axes, position))
+        d = np.sqrt(sqx[ix] + sqy[iy] + sqz[iz])
         amp = 1.0 / (2.0 * math.sqrt(math.pi) * d)
         step = np.exp(-1j * dw * d)
         for fi in range(freqs.size):
@@ -253,12 +262,12 @@ _PLANS: dict[ImagingScenario, _OperatorPlan] = {}
 _PLANS_LOCK = threading.Lock()
 
 
-def _build(scenario: ImagingScenario, centers: np.ndarray) -> _OperatorPlan:
-    """Pulse values and the phasor tables over the given voxel centers."""
+def _build(scenario: ImagingScenario, voxels: np.ndarray) -> _OperatorPlan:
+    """Pulse values and the phasor tables over the given flat voxel indices."""
     return _OperatorPlan(
         pulse_vals=scenario.pulse.evaluate(scenario.frequencies.values()),
-        tx_tab=_tables(scenario, scenario.array.tx_positions(), centers),
-        rx_tab=_tables(scenario, scenario.array.rx_positions(), centers),
+        tx_tab=_tables(scenario, scenario.array.tx_positions(), voxels),
+        rx_tab=_tables(scenario, scenario.array.rx_positions(), voxels),
     )
 
 
@@ -270,7 +279,7 @@ def _plan(scenario: ImagingScenario) -> _OperatorPlan:
         if plan is None:
             # free the old plan before the new one is allocated
             _PLANS.clear()
-            plan = _PLANS[scenario] = _build(scenario, voxel_centers(scenario.voxels))
+            plan = _PLANS[scenario] = _build(scenario, np.arange(scenario.n_voxels))
         return plan
 
 
@@ -352,7 +361,7 @@ def _forward_values(
     # resident after they are freed.
     pad = support is not None and scenario not in _PLANS
     if pad:
-        tabs = _build(scenario, voxel_centers(scenario.voxels)[support])
+        tabs = _build(scenario, support)
         cols = slice(None)
     else:
         tabs = _plan(scenario)
@@ -454,10 +463,17 @@ def simulate_measurements(
     """
     sigma = _real("noise_sigma", noise_sigma, at_least=0)
     rng_seed = _count("rng_seed", rng_seed, minimum=0)
-    y = forward_apply(s, scenario)
+    return _with_noise(forward_apply(s, scenario), scenario, sigma, rng_seed)
+
+
+def _with_noise(
+    y: np.ndarray, scenario: ImagingScenario, sigma: float, rng_seed: int
+) -> MeasurementSet:
+    """The clean measurements ``y`` plus noise of std ``sigma`` drawn with
+    ``rng_seed`` (the rule ``simulate_measurements`` documents); ``y`` itself
+    when sigma is 0."""
     if sigma > 0:
         rng = np.random.default_rng(rng_seed)
-        m = scenario.n_channels
-        noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        noise = rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
         y = y + (sigma / math.sqrt(2.0)) * noise
     return MeasurementSet.for_scenario(y, scenario)

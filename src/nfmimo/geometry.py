@@ -220,6 +220,12 @@ def voxel_centers(grid: VoxelGrid) -> np.ndarray:
     return np.stack(_center(grid, ix, iy, iz), axis=1)
 
 
+def _axes(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, z) coordinate axes: voxel (ix, iy, iz) sits at (x[ix], y[iy],
+    z[iz]), with the same bits as its row of ``voxel_centers``."""
+    return _center(grid, *(np.arange(d) for d in grid.dims))
+
+
 @dataclass(frozen=True)
 class ConstantPulse:
     """Flat pulse spectrum p(f) = value for every frequency."""
@@ -290,13 +296,17 @@ class ImagingScenario:
         if not self.pulse.covers(self.frequencies.f_start, self.frequencies.f_stop):
             raise ValueError("tabulated pulse knots do not cover the frequency band")
         # Fail fast on antenna/voxel coincidence so the element evaluation
-        # never has to branch on a vanishing denominator.
-        centers = voxel_centers(self.voxels)
+        # never has to branch on a vanishing denominator. A squared distance
+        # is a sum of three non-negative per-axis squares, so it is 0 exactly
+        # when each of them is: the check costs O(nx + ny + nz) per antenna,
+        # not O(N), and names the first flat voxel that is at distance 0.
+        axes = _axes(self.voxels)
         ants = np.vstack([self.array.tx_positions(), self.array.rx_positions()])
         for pos in ants:
-            d2 = np.sum((centers - pos) ** 2, axis=1)
-            if np.any(d2 == 0.0):
-                n = int(np.argmin(d2))
+            hits = [np.flatnonzero((axis - p) ** 2 == 0.0) for axis, p in zip(axes, pos)]
+            if all(h.size for h in hits):
+                ix, iy, iz = (int(h[0]) for h in hits)
+                n = int(np.ravel_multi_index((iz, iy, ix), self.voxels.shape))
                 raise SingularityError(
                     f"voxel {n} coincides with antenna at ({pos[0]}, {pos[1]}, {pos[2]})"
                 )

@@ -11,9 +11,23 @@ import numpy as np
 import pytest
 
 import nfmimo
-from nfmimo import ReflectivityVolume, SolveReport, SolverConfig, forward_apply, lipschitz_estimate
+import nfmimo.forward
+from nfmimo import (
+    ReflectivityVolume,
+    SolveReport,
+    SolverConfig,
+    forward_apply,
+    lipschitz_estimate,
+    simulate_measurements,
+)
 from nfmimo.cli import main
-from nfmimo.io import read_measurements, read_scenario, read_volume, write_volume
+from nfmimo.io import (
+    read_measurements,
+    read_scenario,
+    read_volume,
+    write_measurements,
+    write_volume,
+)
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +175,28 @@ class TestSimulate:
         assert main(common + ["--noise", repr(sigma), "--out", str(by_sigma)]) == 0
         assert by_snr.read_bytes() == by_sigma.read_bytes()
         assert not np.array_equal(read_measurements(by_snr, scenario=scn).values, clean)
+
+    def test_snr_db_runs_one_forward_and_writes_simulate_measurements(
+        self, small_files, tmp_path, monkeypatch
+    ):
+        forward_values = nfmimo.forward._forward_values
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].size)
+            return forward_values(*args, **kwargs)
+
+        monkeypatch.setattr(nfmimo.forward, "_forward_values", counted)
+        out = tmp_path / "snr.nfms"
+        assert main(["simulate", "--scenario", str(small_files["scenario"]), "--phantom",
+                     "points:2", "--seed", "11", "--snr-db", "30", "--out", str(out)]) == 0
+        scn = read_scenario(small_files["scenario"])
+        assert calls == [scn.n_channels]
+        truth = read_volume(tmp_path / "snr_truth.nfmv", grid=scn.voxels)
+        clean = forward_apply(truth, scn)
+        sigma = float(np.sqrt(np.mean(np.abs(clean) ** 2) * 10 ** (-30 / 10)))
+        write_measurements(simulate_measurements(truth, scn, sigma, 11), tmp_path / "ref.nfms")
+        assert out.read_bytes() == (tmp_path / "ref.nfms").read_bytes()
 
     def test_snr_db_and_noise_are_exclusive(self, small_files, tmp_path):
         code = main(
@@ -637,6 +673,22 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv) == 1
         assert str(tmp_path / "nodir/x") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("noise", [["--noise", "0.1"], ["--snr-db", "30"]], ids=["noise", "snr-db"])
+    def test_simulate_refuses_a_missing_output_directory_before_simulating(
+        self, small_files, tmp_path, capsys, monkeypatch, noise
+    ):
+        def unsimulated(*args, **kwargs):
+            raise AssertionError("the measurements were simulated")
+
+        monkeypatch.setattr(nfmimo.cli, "simulate_measurements", unsimulated)
+        monkeypatch.setattr(nfmimo.cli, "forward_apply", unsimulated)
+        out = tmp_path / "nodir" / "m.nfms"
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(small_files["scenario"]), "--phantom",
+                     "points:2", "--seed", "11", *noise, "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self):

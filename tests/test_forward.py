@@ -392,6 +392,62 @@ class TestPhasorRecurrence:
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def tables_from_centers(scenario, positions, centers):
+    """The phasor table (F, antennas, centers) with each distance from its
+    voxel center, sqrt(sum((center - position) ** 2)), and the plan's
+    anchored recurrence."""
+    freqs = scenario.frequencies.values()
+    w = 2.0 * np.pi * freqs / scenario.c
+    dw = 2.0 * np.pi * scenario.frequencies.spacing / scenario.c
+    tab = np.empty((freqs.size, positions.shape[0], centers.shape[0]), dtype=np.complex128)
+    for a, position in enumerate(positions):
+        d = np.sqrt(np.sum((centers - position) ** 2, axis=1))
+        amp = 1.0 / (2.0 * np.sqrt(np.pi) * d)
+        step = np.exp(-1j * dw * d)
+        for fi in range(freqs.size):
+            if fi % nfmimo.forward._ANCHOR == 0:
+                tab[fi, a] = np.exp(-1j * w[fi] * d) * amp
+            else:
+                np.multiply(tab[fi - 1, a], step, out=tab[fi, a])
+    return tab
+
+
+class TestTablesOverIndices:
+    """The builder takes flat voxel indices and forms each distance from
+    per-axis squares, with the bits of the per-center formula."""
+
+    def test_every_antenna_on_paper_v(self):
+        scn = preset_scenario("paper-v")
+        voxels = np.arange(scn.n_voxels)
+        centers = voxel_centers(scn.voxels)
+        antennas = np.vstack([scn.array.tx_positions(), scn.array.rx_positions()])
+        assert antennas.shape[0] == 25
+        for a in range(antennas.shape[0]):  # one antenna at a time: 14 MB a table
+            one = antennas[a : a + 1]
+            got = nfmimo.forward._tables(scn, one, voxels)
+            assert_same_bits(got, tables_from_centers(scn, one, centers))
+
+    @pytest.mark.parametrize(
+        "scn",
+        [
+            preset_scenario("paper-v"),
+            ImagingScenario(
+                array=make_spiral_array(3, 2, 0.07, rng_seed=11),
+                frequencies=FrequencyGrid(2e9, 7e9, 10),
+                voxels=VoxelGrid(center=Vec3(0.013, -0.007, 0.21), extent=(0.06, 0, 0.045), dims=(7, 1, 4)),
+            ),
+        ],
+        ids=["paper-v", "odd-grid"],
+    )
+    def test_ragged_support(self, scn):
+        rng = np.random.default_rng(4)
+        voxels = np.sort(rng.choice(scn.n_voxels, size=min(scn.n_voxels // 3, 500), replace=False))
+        centers = voxel_centers(scn.voxels)[voxels]
+        for positions in (scn.array.tx_positions(), scn.array.rx_positions()):
+            got = nfmimo.forward._tables(scn, positions, voxels)
+            assert_same_bits(got, tables_from_centers(scn, positions, centers))
+
+
 def sparse_scenario(array_seed: int = 6) -> ImagingScenario:
     """3 Tx x 2 Rx over 10 frequencies (rows 8 and 9 follow an anchor),
     8x8x4 = 256 voxels, so N/16 = 16."""
@@ -639,9 +695,9 @@ class TestPlanCache:
         build = nfmimo.forward._build
         alive = []
 
-        def build_and_look(scenario, centers):
+        def build_and_look(scenario, voxels):
             alive.append(old() is not None)
-            return build(scenario, centers)
+            return build(scenario, voxels)
 
         monkeypatch.setattr(nfmimo.forward, "_build", build_and_look)
         nfmimo.forward._plan(b)

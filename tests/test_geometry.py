@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from nfmimo import (
     scenario_fingerprint,
     voxel_centers,
 )
-from nfmimo.geometry import _center
+from nfmimo.geometry import _axes, _center
 
 PAPER_GRID = VoxelGrid(center=Vec3(0, 0, 0.5), extent=(0.3, 0.3, 0.1), dims=(61, 61, 21))
 
@@ -126,6 +127,23 @@ class TestVoxelGrid:
         for n in range(grid.n_voxels):
             iz, iy, ix = map(int, np.unravel_index(n, grid.shape))
             assert centers[n].tolist() == list(_center(grid, ix, iy, iz))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            PAPER_GRID,
+            VoxelGrid(center=Vec3(0.01, -0.02, 0.3), extent=(0.1, 0.0, 0.07), dims=(3, 1, 5)),
+            VoxelGrid(center=Vec3(-0.3, 0.1, 0.0), extent=(0.0, 0.3, 0.0), dims=(1, 7, 1)),
+        ],
+        ids=["paper", "dims-1-y", "dims-1-xz"],
+    )
+    def test_axes_are_the_columns_of_voxel_centers(self, grid):
+        centers = voxel_centers(grid)
+        iz, iy, ix = np.unravel_index(np.arange(grid.n_voxels), grid.shape)
+        for col, (axis, i) in enumerate(zip(_axes(grid), (ix, iy, iz))):
+            assert axis.shape == (grid.dims[col],)
+            # the raw words, so a -0.0 against a 0.0 shows too
+            assert axis[i].tobytes() == centers[:, col].tobytes()
 
 
 class TestFlatOrderings:
@@ -262,6 +280,53 @@ class TestPulseSpectrum:
             )
 
 
+# Grids with a z = 0 voxel plane, where the antennas are, and one without.
+HIT_GRID = VoxelGrid(center=Vec3(0, 0, 0), extent=(0.4, 0.2, 0.2), dims=(5, 3, 3))
+FLAT_Y_GRID = VoxelGrid(center=Vec3(0, 0.1, 0), extent=(0.4, 0, 0.2), dims=(5, 1, 3))
+OFF_Z_GRID = VoxelGrid(center=Vec3(0, 0, 0.05), extent=(0.4, 0.2, 0.2), dims=(5, 3, 3))
+
+
+def _node(grid: VoxelGrid, ix: int, iy: int, iz: int) -> np.ndarray:
+    """The center of voxel (ix, iy, iz), bit for bit."""
+    return voxel_centers(grid)[np.ravel_multi_index((iz, iy, ix), grid.shape)]
+
+
+def _brute_force_hit(grid: VoxelGrid, antennas):
+    """(first flat voxel at distance 0, antenna) for the first antenna in the
+    list that coincides with a voxel center, or None, over all N centers."""
+    centers = voxel_centers(grid)
+    for antenna in antennas:
+        d2 = np.sum((centers - antenna.as_array()) ** 2, axis=1)
+        if np.any(d2 == 0.0):
+            return int(np.argmin(d2)), antenna
+    return None
+
+
+FAR = Vec3(0.7, 0.7, 0)  # an antenna away from every test grid
+
+
+def _check_agrees(grid: VoxelGrid, transmitters, receivers):
+    """Build the scenario and assert that it raises the SingularityError the
+    brute force names, or nothing; returns the brute force's answer."""
+    expected = _brute_force_hit(grid, [*transmitters, *receivers])
+
+    def build():
+        return ImagingScenario(
+            array=ArrayGeometry(transmitters=tuple(transmitters), receivers=tuple(receivers)),
+            frequencies=FrequencyGrid(1e9, 1e9, 1),
+            voxels=grid,
+        )
+
+    if expected is None:
+        build()
+    else:
+        n, a = expected
+        named = re.escape(f"voxel {n} coincides with antenna at ({a.x}, {a.y}, {a.z})")
+        with pytest.raises(SingularityError, match=f"^{named}$"):
+            build()
+    return expected
+
+
 class TestImagingScenario:
     def test_paper_preset_dimensions(self):
         scn = preset_scenario("paper-v")
@@ -282,6 +347,54 @@ class TestImagingScenario:
                 # z=0 voxel plane passes through the transmitter
                 voxels=VoxelGrid(center=Vec3(0, 0, 0), extent=(0, 0, 0), dims=(1, 1, 1)),
             )
+
+    def test_first_hit_names_the_brute_force_voxel(self):
+        # both antennas hit; the transmitter is reported though the
+        # receiver's voxel comes first in the flat numbering
+        tx, rx = Vec3(*_node(HIT_GRID, 3, 2, 1)), Vec3(*_node(HIT_GRID, 0, 0, 1))
+        n, antenna = _check_agrees(HIT_GRID, [FAR, tx], [rx])
+        assert antenna == tx
+        assert n > _brute_force_hit(HIT_GRID, [rx])[0]
+
+    @pytest.mark.parametrize(
+        "grid, antenna, hit",
+        [
+            (HIT_GRID, _node(HIT_GRID, 4, 0, 1), True),
+            (HIT_GRID, _node(HIT_GRID, 0, 2, 1), True),
+            # a dims=1 axis
+            (FLAT_Y_GRID, _node(FLAT_Y_GRID, 1, 0, 1), True),
+            # -0.0 against the grid's 0.0 on every axis
+            (HIT_GRID, (-0.0, -0.0, -0.0), True),
+            # on two axes' nodes but not on the third: no voxel is hit
+            (HIT_GRID, _node(HIT_GRID, 3, 1, 1) + (0, 0.05, 0), False),
+            (HIT_GRID, _node(HIT_GRID, 3, 1, 1) + (1e-12, 0, 0), False),
+            (OFF_Z_GRID, _node(OFF_Z_GRID, 3, 1, 0) * (1, 1, 0), False),
+            (FLAT_Y_GRID, _node(FLAT_Y_GRID, 1, 0, 1) + (0, 0.05, 0), False),
+        ],
+        ids=["node", "node-edge", "dims-1", "negative-zero", "miss-y", "miss-x",
+             "miss-z", "miss-dims-1"],
+    )
+    def test_check_agrees_with_the_brute_force(self, grid, antenna, hit):
+        assert (_check_agrees(grid, [Vec3(*antenna)], [FAR]) is not None) == hit
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 5)] * 3),
+        node=st.tuples(*[st.integers(0, 4)] * 2),
+        # per axis: on the node, or off it by a fraction of the spacing
+        offset=st.tuples(*[st.sampled_from([0.0, 0.0, 0.5, 1e-9])] * 2),
+        # some of these put a voxel plane at z = 0, where the antennas are
+        z_center=st.sampled_from([0.0, 0.005, 0.02]),
+    )
+    def test_check_agrees_with_the_brute_force_property(self, dims, node, offset, z_center):
+        grid = VoxelGrid(
+            center=Vec3(0.01, -0.02, z_center),
+            extent=tuple(0.01 * (d - 1) for d in dims),
+            dims=dims,
+        )
+        ix, iy = (min(i, d - 1) for i, d in zip(node, dims))
+        x, y, _ = _node(grid, ix, iy, 0)
+        _check_agrees(grid, [Vec3(x + 0.01 * offset[0], y + 0.01 * offset[1], 0.0)], [FAR])
 
     def test_fingerprint_is_stable_and_sensitive(self):
         a = preset_scenario("paper-v")

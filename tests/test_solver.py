@@ -355,14 +355,14 @@ class TestPgmSolve:
             frequencies=FrequencyGrid(3e9, 5e9, 2),
             voxels=VoxelGrid(center=Vec3(0, 0, 0.2), extent=(0.02, 0.02, 0), dims=(3, 3, 1)),
         )
-        centers = nfmimo.forward.voxel_centers
+        build = nfmimo.forward._build
 
-        def slow_centers(grid):
+        def slow_build(scenario, voxels):
             time.sleep(0.3)
-            return centers(grid)
+            return build(scenario, voxels)
 
         nfmimo.forward._PLANS.clear()
-        monkeypatch.setattr(nfmimo.forward, "voxel_centers", slow_centers)
+        monkeypatch.setattr(nfmimo.forward, "_build", slow_build)
         y = random_complex(rng, scn.n_channels)
         cfg = SolverConfig(max_iters=3, tol=1e-300, time_budget_s=0.25)
         report = pgm_solve(y, scn, cfg)
