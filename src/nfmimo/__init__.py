@@ -23,6 +23,7 @@ from .forward import (
     ChannelSubset,
     DenseCapError,
     MeasurementSet,
+    PlanTooLargeError,
     ReflectivityVolume,
     adjoint_apply,
     forward_apply,

@@ -22,9 +22,10 @@ volume is sparse when at most N/16 of its voxels are nonzero. The tables of
 every voxel (the plan, 16*F*(T+R)*N bytes) are built by the first adjoint on
 a scenario, by a solve before its clock starts, and by a forward of a volume
 that is not sparse. Only the last scenario's plan stays cached: a plan for
-another scenario frees it first, so a process never holds two. Before a
-plan is cached, a forward of a sparse volume (a simulated phantom) builds
-the tables over its nonzero voxels only.
+another scenario frees it first, so a process never holds two. A plan larger
+than the memory the OS reports available is refused before it is allocated.
+Before a plan is cached, a forward of a sparse volume (a simulated phantom)
+builds the tables over its nonzero voxels only.
 
 The forward runs one per-frequency function on either kind of table. Per
 transmitter it forms the row w = u_t * s, then takes one length-N dot of w
@@ -73,6 +74,7 @@ __all__ = [
     "MeasurementSet",
     "ChannelSubset",
     "DenseCapError",
+    "PlanTooLargeError",
     "matrix_element",
     "forward_apply",
     "adjoint_apply",
@@ -83,6 +85,10 @@ __all__ = [
 
 class DenseCapError(RuntimeError):
     """Dense materialization would exceed the configured entry cap."""
+
+
+class PlanTooLargeError(ValueError):
+    """The operator plan would not fit in the memory the OS reports available."""
 
 
 def _complex_vector(what: str, values, size: int | None = None) -> np.ndarray:
@@ -271,14 +277,39 @@ def _build(scenario: ImagingScenario, voxels: np.ndarray) -> _OperatorPlan:
     )
 
 
+def _plan_nbytes(scenario: ImagingScenario) -> int:
+    """The ``nbytes`` of the plan ``_plan`` builds: F pulse values and
+    F*(T+R)*N table entries, 16 bytes each."""
+    f, t, r = scenario.channel_shape
+    return 16 * f * (1 + (t + r) * scenario.n_voxels)
+
+
+def _available_bytes() -> int | None:
+    """``MemAvailable`` from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def _plan(scenario: ImagingScenario) -> _OperatorPlan:
     # one lock around the lookup, the eviction and the build: a second thread
     # neither sees the slot mid-update nor builds the same plan again
     with _PLANS_LOCK:
         plan = _PLANS.get(scenario)
         if plan is None:
-            # free the old plan before the new one is allocated
+            # free the old plan before the new one is sized and allocated
             _PLANS.clear()
+            need, available = _plan_nbytes(scenario), _available_bytes()
+            if available is not None and need > available:
+                raise PlanTooLargeError(
+                    f"the operator plan needs {need / 1e9:.3g} GB, but only "
+                    f"{available / 1e9:.3g} GB of memory is available"
+                )
             plan = _PLANS[scenario] = _build(scenario, np.arange(scenario.n_voxels))
         return plan
 

@@ -363,9 +363,9 @@ def make_spiral_array(n_tx: int, n_rx: int, radius: float, rng_seed: int = 0) ->
 
 # --- canonical JSON document and fingerprint ------------------------------
 #
-# The JSON schema is owned by nfmimo.io; the canonical serialization lives
-# here because the scenario fingerprint (used to pair measurement files with
-# the scenario that produced them) must not depend on file-level concerns.
+# The one serialization of a scenario lives here, next to the fingerprint
+# that pairs measurement files with their scenario; nfmimo.io writes scenario
+# files as exactly this text and owns the reader's schema checks.
 
 
 def _complex_pair(v: complex) -> list[float]:

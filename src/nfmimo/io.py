@@ -14,6 +14,10 @@ Both binary formats share one container (all little-endian):
 The checksum is the sum of the payload bytes modulo 2^64. Readers validate
 lengths before touching the payload and reject non-finite payload values, so
 corrupt or truncated files raise a FormatError subclass instead of crashing.
+
+A scenario file is its canonical document (``dumps_canonical``: compact, sorted
+keys, 17 significant digits, no trailing newline), so its SHA-256 is the
+fingerprint NFMS headers carry; the reader takes any JSON layout of it.
 """
 
 from __future__ import annotations
@@ -270,26 +274,9 @@ def document_to_scenario(doc: dict) -> ImagingScenario:
         raise SchemaError(f"invalid scenario document: {exc}") from exc
 
 
-def _pretty_json(doc, indent: int = 0) -> str:
-    # hand-rolled writer so floats keep 17 significant digits
-    pad = "  " * indent
-    if isinstance(doc, dict):
-        if not doc:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_pretty_json(v, indent + 1)}' for k, v in doc.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(doc, list):
-        if all(not isinstance(v, (dict, list)) for v in doc):
-            return "[" + ", ".join(_pretty_json(v) for v in doc) + "]"
-        items = ",\n".join(f"{pad}  {_pretty_json(v, indent + 1)}" for v in doc)
-        return "[\n" + items + "\n" + pad + "]"
-    return dumps_canonical(doc)
-
-
 def write_scenario(scenario: ImagingScenario, path) -> None:
-    Path(path).write_text(_pretty_json(scenario_to_document(scenario)) + "\n")
+    """Write the canonical document, the text ``scenario_fingerprint`` hashes."""
+    Path(path).write_bytes(dumps_canonical(scenario_to_document(scenario)).encode("utf-8"))
 
 
 def read_scenario(path) -> ImagingScenario:

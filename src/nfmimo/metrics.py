@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .forward import ReflectivityVolume
-from .geometry import ImagingScenario
+from .geometry import ImagingScenario, _format_number
 from .solver import MinibatchComposition, SolverConfig, pgm_solve, spgm_solve
 
 __all__ = [
@@ -128,11 +128,6 @@ def run_sweep(
     return records
 
 
-def _format_db(value: float) -> str:
-    # JSON/CSV have no infinity literal; keep the sentinel spelled out
-    return "inf" if math.isinf(value) else format(value, ".17g")
-
-
 def write_sweep_csv(records: list[SweepRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -146,8 +141,8 @@ def write_sweep_csv(records: list[SweepRecord], path) -> None:
                     rec.batch_size,
                     rec.seed,
                     rec.iterations,
-                    format(rec.runtime_s, ".17g"),
-                    _format_db(rec.psnr_db),
+                    _format_number(rec.runtime_s),
+                    _format_number(rec.psnr_db),
                 ]
             )
 

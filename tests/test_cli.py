@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import struct
@@ -69,6 +70,13 @@ class TestScenarioInit:
         assert main(["info", "--scenario", str(out)]) == 0
         text = capsys.readouterr().out
         assert "M=1584" in text and "N=78141" in text
+
+    def test_file_hashes_to_the_printed_fingerprint(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["scenario-init", "--preset", "paper-v", "--out", str(out)]) == 0
+        assert main(["info", "--scenario", str(out)]) == 0
+        (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("fingerprint=")]
+        assert line == f"fingerprint={hashlib.sha256(out.read_bytes()).hexdigest()}"
 
     def test_single_voxel_custom(self, tmp_path):
         out = tmp_path / "one.json"
@@ -287,6 +295,22 @@ class TestReconstruct:
         assert isinstance(doc["plan_cached"], bool)
         # 3 frequencies, 3 + 3 antennas, 50 voxels, 16 bytes per complex entry
         assert doc["plan_bytes"] == 16 * 3 * (6 * 50 + 1)
+
+    def test_plan_too_large_exits_one(self, small_files, tmp_path, monkeypatch, capsys):
+        nfmimo.forward._PLANS.clear()
+        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 1000)
+        out = tmp_path / "recon.nfmv"
+        code = main(
+            ["reconstruct", "--scenario", str(small_files["scenario"]),
+             "--measurements", str(small_files["measurements"]), "--method", "pgm",
+             "--out", str(out)]
+        )
+        assert code == 1 and not out.exists()
+        # 16 bytes x 3 frequencies x (1 + 6 antennas x 50 voxels) = 14448 bytes
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == (
+            "error: the operator plan needs 1.44e-05 GB, but only 1e-06 GB of memory is available"
+        )
 
     def test_report_is_the_flags_then_the_solve_report(self, small_files, tmp_path, monkeypatch):
         reports, solve = [], nfmimo.cli.spgm_solve

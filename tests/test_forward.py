@@ -22,6 +22,7 @@ from nfmimo import (
     ImagingScenario,
     MeasurementSet,
     MinibatchComposition,
+    PlanTooLargeError,
     ReflectivityVolume,
     SolverConfig,
     SPEED_OF_LIGHT,
@@ -739,6 +740,71 @@ class TestPlanCache:
         assert again == scn and again is not scn and hash(again) == hash(scn)
         assert again in nfmimo.forward._PLANS
         assert nfmimo.forward._plan(again) is plan
+
+
+
+class TestPlanSizeRefusal:
+    def test_message_names_both_sizes(self, tiny_scenario, monkeypatch):
+        nfmimo.forward._PLANS.clear()
+        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 100)
+        # 16 bytes x 2 frequencies x (1 + 4 antennas x 4 voxels) = 544 bytes
+        with pytest.raises(PlanTooLargeError, match=r"needs 5\.44e-07 GB.* 1e-07 GB"):
+            adjoint_apply(np.zeros(tiny_scenario.n_channels, dtype=complex), tiny_scenario)
+
+    def test_refused_before_any_table_is_allocated(self, monkeypatch):
+        # 40x40x10 voxels: each table is megabytes, far above the check's own allocations
+        scn = ImagingScenario(
+            array=make_spiral_array(3, 2, 0.15, rng_seed=2),
+            frequencies=FrequencyGrid(4e9, 8e9, 3),
+            voxels=VoxelGrid(center=Vec3(0, 0, 0.3), extent=(0.2, 0.2, 0.05), dims=(40, 40, 10)),
+        )
+        smallest_table = 16 * 3 * 2 * scn.n_voxels
+        nfmimo.forward._plan(sparse_scenario(array_seed=40))  # freed before the refusal
+        need, zeros = nfmimo.forward._plan_nbytes(scn), np.zeros(scn.n_channels, dtype=complex)
+        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PlanTooLargeError):
+                adjoint_apply(zeros, scn)
+            refused_peak = tracemalloc.get_traced_memory()[1]
+            assert not nfmimo.forward._PLANS
+            # the same measure sees the tables of a plan that fits
+            monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: need)
+            tracemalloc.reset_peak()
+            adjoint_apply(zeros, scn)
+            built_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused_peak < smallest_table <= need <= built_peak
+
+    @pytest.mark.parametrize("name", ["tiny", "sparse", "paper-v"])
+    def test_size_is_the_built_plans_nbytes(self, tiny_scenario, name):
+        scn = {
+            "tiny": tiny_scenario,
+            "sparse": sparse_scenario(array_seed=41),
+            "paper-v": preset_scenario("paper-v"),
+        }[name]
+        assert nfmimo.forward._plan_nbytes(scn) == nfmimo.forward._plan(scn).nbytes
+
+    @pytest.mark.parametrize(
+        "meminfo", [None, "MemTotal: 100 kB\n", "MemAvailable: many kB\n"],
+        ids=["unreadable", "no-line", "not-a-number"],
+    )
+    def test_no_reading_skips_the_check(self, tmp_path, monkeypatch, meminfo):
+        fake = tmp_path / "meminfo"
+        if meminfo is not None:
+            fake.write_text(meminfo)
+        monkeypatch.setattr(nfmimo.forward, "open", lambda _: open(fake), raising=False)
+        assert nfmimo.forward._available_bytes() is None
+        scn = sparse_scenario(array_seed=42)
+        nfmimo.forward._PLANS.clear()
+        assert nfmimo.forward._plan(scn).nbytes == nfmimo.forward._plan_nbytes(scn)
+
+    def test_reads_memavailable(self, tmp_path, monkeypatch):
+        fake = tmp_path / "meminfo"
+        fake.write_text("MemTotal: 900 kB\nMemAvailable: 512 kB\n")
+        monkeypatch.setattr(nfmimo.forward, "open", lambda _: open(fake), raising=False)
+        assert nfmimo.forward._available_bytes() == 512 * 1024
 
 
 class TestChannelSubset:

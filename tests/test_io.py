@@ -5,9 +5,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from nfmimo import (
     ArrayGeometry,
+    ConstantPulse,
     FrequencyGrid,
     ImagingScenario,
     MeasurementSet,
@@ -156,7 +159,8 @@ class TestWrittenBytes:
                 ),
                 "0d7443fc3f15159bb600de7cd35c22d9e930df5372ca5a1cc9460f0bf0276817",
             ),
-            (write_scenario, "3f67ff6b26beeeae22b7eec38282724b892c48d083512dcc435f701b094a8a1c"),
+            # the canonical document, so this is scenario_fingerprint(tiny_scenario).hex()
+            (write_scenario, "38a1d4af25d31a282a5bb36ce308f244dc3ffb4f0b816c9007ab05555af7dcaa"),
         ],
         ids=["volume", "measurements", "scenario"],
     )
@@ -415,6 +419,126 @@ class TestScenarioJson:
         path = tmp_path / "scn.json"
         write_scenario(scn, path)
         assert read_scenario(path) == scn
+
+
+# A scenario file as the multi-line writer of earlier versions laid it out
+# (two-space indent, keys in document order, a trailing newline), for
+# _multi_line_scenario(); its fingerprint is pinned below.
+_MULTI_LINE_FILE = """\
+{
+  "speed_of_light": 299792458,
+  "frequencies": {
+    "start_hz": 2000000000,
+    "stop_hz": 3000000000,
+    "count": 2
+  },
+  "voxels": {
+    "center": [0, 0, 0.20000000000000001],
+    "extent": [0.01, 0, 0],
+    "dims": [2, 1, 1]
+  },
+  "pulse": {
+    "mode": "tabulated",
+    "frequencies_hz": [1000000000, 2500000000, 4000000000],
+    "values": [
+      [1, 0],
+      [0.5, -0.25],
+      [0.10000000000000001, 0]
+    ]
+  },
+  "transmitters": [
+    [0, 0.02, 0]
+  ],
+  "receivers": [
+    [-0.02, 0, 0]
+  ]
+}
+"""
+
+
+def _multi_line_scenario():
+    return ImagingScenario(
+        array=ArrayGeometry(
+            transmitters=(Vec3(-0.0, 0.02, 0.0),), receivers=(Vec3(-0.02, 0.0, 0.0),)
+        ),
+        frequencies=FrequencyGrid(2e9, 3e9, 2),
+        voxels=VoxelGrid(center=Vec3(0, 0, 0.2), extent=(0.01, 0, 0), dims=(2, 1, 1)),
+        pulse=TabulatedPulse(
+            frequencies_hz=(1e9, 2.5e9, 4e9), values=(1 + 0j, 0.5 - 0.25j, 0.1 + 0j)
+        ),
+    )
+
+
+_coordinate = st.one_of(st.just(-0.0), st.floats(-0.2, 0.2))
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _scenarios(draw):
+    """Custom scenarios: signed zeros in the antenna and voxel coordinates,
+    constant or tabulated pulses, voxels at least 0.2 m off the array plane."""
+    positions = st.lists(
+        st.tuples(_coordinate, _coordinate, st.sampled_from([-0.0, 0.0])),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda p: (p[0] + 0.0, p[1] + 0.0),
+    )
+    count = draw(st.integers(1, 4))
+    f_start = draw(st.floats(1e8, 2e10))
+    f_stop = f_start if count == 1 else f_start + draw(st.floats(1e6, 1e10))
+    if draw(st.booleans()):
+        lo, hi = f_start * draw(st.floats(0.5, 1.0)), f_stop * draw(st.floats(1.0, 2.0))
+        knots = sorted({lo, hi, *draw(st.lists(st.floats(lo, hi), max_size=3))})
+        values = draw(st.lists(st.complex_numbers(max_magnitude=10, **_finite),
+                               min_size=len(knots), max_size=len(knots)))
+        pulse = TabulatedPulse(tuple(knots), tuple(values))
+    else:
+        pulse = ConstantPulse(draw(st.complex_numbers(max_magnitude=10, **_finite)))
+    dims = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    extent = tuple(0.0 if d == 1 else draw(st.floats(1e-3, 0.2)) for d in dims)
+    return ImagingScenario(
+        array=ArrayGeometry(
+            transmitters=tuple(Vec3(*p) for p in draw(positions)),
+            receivers=tuple(Vec3(*p) for p in draw(positions)),
+        ),
+        frequencies=FrequencyGrid(f_start, f_stop, count),
+        voxels=VoxelGrid(
+            center=Vec3(draw(_coordinate), draw(_coordinate), draw(st.floats(0.3, 1.0))),
+            extent=extent,
+            dims=dims,
+        ),
+        pulse=pulse,
+        c=draw(st.floats(1e8, 4e8)),
+    )
+
+
+class TestOneSerialization:
+    """A scenario file is the canonical document its fingerprint hashes."""
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(scn=_scenarios())
+    @example(scn=_multi_line_scenario())
+    def test_write_read_write_gives_the_fingerprints_preimage(self, tmp_path, scn):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        write_scenario(scn, first)
+        back = read_scenario(first)
+        write_scenario(back, second)
+        assert back == scn
+        assert second.read_bytes() == first.read_bytes()
+        assert hashlib.sha256(first.read_bytes()).digest() == scenario_fingerprint(scn)
+
+    def test_multi_line_file_of_earlier_versions_still_pairs(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(_MULTI_LINE_FILE)
+        scn = read_scenario(path)
+        assert scn == _multi_line_scenario()
+        # the fingerprint the measurement files of earlier versions carry
+        pinned = "c9f1784f028e2afb795068a980e95666d3f374144b82153b2e8af0a59c203a67"
+        assert scenario_fingerprint(scn).hex() == pinned
+        write_scenario(scn, tmp_path / "new.json")
+        assert hashlib.sha256((tmp_path / "new.json").read_bytes()).hexdigest() == pinned
 
 
 class TestSlicesCsv:
