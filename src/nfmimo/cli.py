@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,8 @@ from .geometry import (
     ImagingScenario,
     Vec3,
     VoxelGrid,
+    _count,
+    _real,
     dumps_canonical,
     make_spiral_array,
     preset_scenario,
@@ -251,10 +253,13 @@ def _snr_sigma(clean: np.ndarray, noise_to_signal: float) -> float:
 
 def _cmd_simulate(args) -> int:
     _check_out_dirs(args.out)  # the truth volume goes next to --out
+    # every flag is checked before the first read
+    _count("--seed", args.seed, minimum=0)
+    _real("--noise", args.noise, at_least=0)
+    ratio = _noise_to_signal(args.snr_db) if hasattr(args, "snr_db") else None
     scenario = read_scenario(args.scenario)
     phantom = make_phantom(args.phantom, scenario.voxels, rng_seed=args.seed)
-    if hasattr(args, "snr_db"):
-        ratio = _noise_to_signal(args.snr_db)
+    if ratio is not None:
         # one forward gives both the signal power and the measurements
         clean = forward_apply(phantom, scenario)
         sigma = _snr_sigma(clean, ratio)
@@ -280,10 +285,7 @@ def _check_out_dirs(*paths) -> None:
 
 def _cmd_reconstruct(args) -> int:
     _check_out_dirs(args.out, args.report, args.slices)
-    scenario = read_scenario(args.scenario)
-    measurements = read_measurements(
-        args.measurements, scenario=None if args.allow_fingerprint_mismatch else scenario
-    )
+    # every flag is checked before the first read
     if args.method == "spgm" and args.batch is None:
         raise _UsageError("--method spgm requires --batch f,tx,rx")
     if args.method == "pgm" and args.batch is not None:
@@ -297,6 +299,10 @@ def _cmd_reconstruct(args) -> int:
         rng_seed=args.seed,
         composition=composition,
         time_budget_s=args.time_budget_s,
+    )
+    scenario = read_scenario(args.scenario)
+    measurements = read_measurements(
+        args.measurements, scenario=None if args.allow_fingerprint_mismatch else scenario
     )
     solve = pgm_solve if composition is None else spgm_solve
     report = solve(measurements.values, scenario, config)  # fingerprint enforced at load
@@ -333,10 +339,13 @@ def _cmd_psnr(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     _check_out_dirs(args.out)
-    scenario = read_scenario(args.scenario)
-    measurements = read_measurements(args.measurements, scenario=scenario)
+    # every flag is checked before the first read
     compositions = [MinibatchComposition(*c) for c in args.compositions]
     base = SolverConfig(eta=args.eta, alpha=args.alpha, tol=args.tol, max_iters=args.max_iters)
+    for seed in args.seeds:
+        replace(base, rng_seed=seed)
+    scenario = read_scenario(args.scenario)
+    measurements = read_measurements(args.measurements, scenario=scenario)
     records = run_sweep(measurements.values, scenario, base, compositions, args.seeds)
     write_sweep_csv(records, args.out)
     print(f"{'composition':>14} {'B':>6} {'seed':>6} {'iters':>6} {'runtime_s':>10} {'psnr_db':>9}")

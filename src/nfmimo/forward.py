@@ -34,25 +34,24 @@ mostly) w is multiplied on the support only and stays zero elsewhere; a
 denser volume is multiplied over the whole row. On the support tables the
 receiver columns are zero-padded to length N. The dots are the same on
 every path, and so are the bits of the output, for a given BLAS thread
-count: OpenBLAS may split a long dot across its threads, so the forward's
-bits can differ between thread counts. The adjoint's do not.
+count: OpenBLAS may split a long dot into partial sums whose order depends
+on that count, so the forward's bits can differ between BLAS settings. The
+adjoint's do not.
 
 Subset applications reuse the exact same cached rows and the same per-channel
 reduction as the full application, so restricting to a subset is bit-exact.
-The adjoint runs over tiles of a few thousand voxels, one task each. Per
-frequency, a (touched Tx) x (touched Rx) matrix of residual coefficients,
-zero where a pair is absent, multiplies the tile's receiver rows; the product
-is scaled in place by the tile's transmitter rows and summed over the
-transmitters. No whole table row is copied. Each voxel is summed by one task
-in ascending frequency order, so the adjoint is bit-identical for every
-worker-thread count.
+The adjoint runs over tiles of a few thousand voxels. Per frequency, a
+(touched Tx) x (touched Rx) matrix of residual coefficients, zero where a
+pair is absent, multiplies the tile's receiver rows; the product is scaled in
+place by the tile's transmitter rows and summed over the transmitters. No
+whole table row is copied, and each voxel is summed in ascending frequency
+order.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,7 +353,7 @@ def _by_frequency(idx: np.ndarray, scenario: ImagingScenario):
         yield int(f), pos, ts, np.searchsorted(ts, t), rs, np.searchsorted(rs, r)
 
 
-_TILE = 4096  # voxels per adjoint task
+_TILE = 4096  # voxels per adjoint tile; it bounds the temporaries
 
 
 def _rows(sel: np.ndarray):
@@ -362,13 +361,6 @@ def _rows(sel: np.ndarray):
     if sel[-1] - sel[0] + 1 == sel.size:
         return slice(int(sel[0]), int(sel[-1]) + 1)
     return sel
-
-
-def _run_maybe_parallel(fn, items, threads: int):
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 # A volume with at most N/_SPARSE nonzero voxels is sparse: it is multiplied
@@ -380,14 +372,12 @@ def _run_maybe_parallel(fn, items, threads: int):
 _SPARSE = 16
 
 
-def _forward_values(
-    values: np.ndarray, scenario: ImagingScenario, idx: np.ndarray, threads: int
-) -> np.ndarray:
+def _forward_values(values: np.ndarray, scenario: ImagingScenario, idx: np.ndarray) -> np.ndarray:
     n = scenario.n_voxels
     nonzero = values != 0
     support = np.flatnonzero(nonzero) if _SPARSE * np.count_nonzero(nonzero) <= n else None
     # With no plan cached, a sparse volume builds its support's columns only;
-    # each task pads them into one zero row of its own, since holding all
+    # each receiver's are padded into one zero row in turn, since holding all
     # F*(T+R) or T+R padded rows would take tens of MB that the heap keeps
     # resident after they are freed.
     pad = support is not None and scenario not in _PLANS
@@ -400,16 +390,15 @@ def _forward_values(
     on_support = None if support is None else values[support]
     out = np.empty(idx.size, dtype=np.complex128)
 
-    # w = u_t * s, one row per frequency task. On the support it holds the
+    # w = u_t * s, one row for the whole call. On the support it holds the
     # same elementwise products as a whole-row multiply; off the support it
     # stays +0, zeroed once, where the whole-row products are +-0. Every dot
     # keeps its length N, and a signed zero added to a partial sum leaves it
     # as it was (a zero sum is +0 either way), so both give the same bits.
-    def one_frequency(split):
-        f, pos, ts, tpos, rs, rpos = split
+    w = (np.empty if support is None else np.zeros)(n, dtype=np.complex128)
+    rx = np.zeros(n, dtype=np.complex128) if pad else None
+    for f, pos, ts, tpos, rs, rpos in _by_frequency(idx, scenario):
         p = tabs.pulse_vals[f]
-        w = (np.empty if support is None else np.zeros)(n, dtype=np.complex128)
-        rx = np.zeros(n, dtype=np.complex128) if pad else None
         for j, t in enumerate(ts):
             if support is None:
                 np.multiply(tabs.tx_tab[f, t], values, out=w)
@@ -420,14 +409,10 @@ def _forward_values(
                 if pad:
                     rx[support] = tabs.rx_tab[f, r]
                 out[k] = p * np.dot(w, rx if pad else tabs.rx_tab[f, r])
-
-    _run_maybe_parallel(one_frequency, list(_by_frequency(idx, scenario)), threads)
     return out
 
 
-def _adjoint_values(
-    rvals: np.ndarray, scenario: ImagingScenario, idx: np.ndarray, threads: int
-) -> np.ndarray:
+def _adjoint_values(rvals: np.ndarray, scenario: ImagingScenario, idx: np.ndarray) -> np.ndarray:
     plan = _plan(scenario)
     n = scenario.n_voxels
 
@@ -443,17 +428,12 @@ def _adjoint_values(
         terms.append((f, _rows(ts), _rows(rs), coeffs))
 
     out = np.zeros(n, dtype=np.complex128)
-
-    # each voxel is summed by one task in ascending frequency order, so the
-    # result does not depend on the thread count
-    def one_tile(a):
+    for a in range(0, n, _TILE):
         b = min(a + _TILE, n)
         for f, ts, rs, coeffs in terms:
             inner = coeffs @ plan.rx_tab[f, rs, a:b]
             inner *= plan.tx_tab[f, ts, a:b]
             out[a:b] += inner.sum(axis=0)
-
-    _run_maybe_parallel(one_tile, range(0, n, _TILE), threads)
     return np.conj(out, out=out)
 
 
@@ -465,19 +445,22 @@ def forward_apply(s, scenario: ImagingScenario, subset=None, threads: int = 1) -
 
     ``subset`` restricts to the given flat channels (None means all M); the
     restricted result is bit-identical to slicing the full result. ``threads``
-    spreads the channel groups over a thread pool; the result does not
-    depend on it.
+    is checked as a count but has no effect: BLAS is the one parallelism
+    layer, and ROADMAP item 1's benchmark change removes the keyword.
     """
+    _count("threads", threads)
     values = _volume_values(s, scenario)
     idx = _channel_subset(subset, scenario).indices
-    return _forward_values(values, scenario, idx, _count("threads", threads))
+    return _forward_values(values, scenario, idx)
 
 
 def adjoint_apply(r, scenario: ImagingScenario, subset=None, threads: int = 1) -> np.ndarray:
-    """Apply the conjugate transpose: entry n is sum_k conj(A[m_k, n]) * r_k."""
+    """Apply the conjugate transpose: entry n is sum_k conj(A[m_k, n]) * r_k;
+    ``threads`` has no effect, as in ``forward_apply``."""
+    _count("threads", threads)
     idx = _channel_subset(subset, scenario).indices
     rvals = _complex_vector("residual", r, idx.size)
-    return _adjoint_values(rvals, scenario, idx, _count("threads", threads))
+    return _adjoint_values(rvals, scenario, idx)
 
 
 def simulate_measurements(

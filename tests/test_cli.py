@@ -715,5 +715,39 @@ class TestExitCodes:
         assert str(out) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, code, named",
+        [
+            (["reconstruct", "--method", "spgm"], 2, "--batch"),
+            (["reconstruct", "--method", "pgm", "--batch", "1,1,1"], 2, "--batch"),
+            (["reconstruct", "--method", "spgm", "--batch", "0,1,1"], 1, "n_f"),
+            (["reconstruct", "--method", "pgm", "--eta", "0"], 1, "eta"),
+            (["reconstruct", "--method", "pgm", "--seed", "-1"], 1, "seed"),
+            (["reconstruct", "--method", "pgm", "--time-budget-s", "-1"], 1, "time_budget_s"),
+            (["benchmark", "--compositions", "1,0,1", "--seeds", "0"], 1, "n_tx"),
+            (["benchmark", "--compositions", "1,1,1", "--seeds", "0", "--eta", "0"], 1, "eta"),
+            (["benchmark", "--compositions", "1,1,1", "--seeds", "0,-1"], 1, "seed"),
+            (["simulate", "--phantom", "points:1", "--snr-db", "nan"], 1, "--snr-db"),
+            (["simulate", "--phantom", "points:1", "--noise", "-1"], 1, "--noise"),
+            (["simulate", "--phantom", "points:1", "--seed", "-1"], 1, "--seed"),
+        ],
+        ids=["spgm-no-batch", "pgm-batch", "batch", "eta", "seed", "time-budget",
+             "benchmark-composition", "benchmark-eta", "benchmark-seed",
+             "snr-db", "noise", "simulate-seed"],
+    )
+    def test_flags_are_checked_before_the_first_read(
+        self, tmp_path, capsys, monkeypatch, argv, code, named
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("the scenario was read")
+
+        monkeypatch.setattr(nfmimo.cli, "read_scenario", unread)
+        argv = [*argv, "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x")]
+        if argv[0] != "simulate":
+            argv += ["--measurements", str(tmp_path / "absent.nfms")]
+        capsys.readouterr()
+        assert main(argv) == code
+        assert named in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
