@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .forward import _with_noise, forward_apply, simulate_measurements
 from .geometry import (
-    ConstantPulse,
     FrequencyGrid,
     ImagingScenario,
     Vec3,
@@ -182,12 +181,6 @@ def _print_repro_line(args: argparse.Namespace) -> None:
     )
 
 
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
-    return format(value, ".12g")
-
-
 def _cmd_scenario_init(args) -> int:
     if args.preset:
         scenario = preset_scenario(args.preset)
@@ -201,7 +194,6 @@ def _cmd_scenario_init(args) -> int:
             array=make_spiral_array(args.tx, args.rx, args.radius, rng_seed=args.array_seed),
             frequencies=FrequencyGrid(args.f_start, args.f_stop, args.f_count),
             voxels=VoxelGrid(center=Vec3(*args.center), extent=extent, dims=args.dims),
-            pulse=ConstantPulse(1.0 + 0.0j),
         )
     write_scenario(scenario, args.out)
     print(
@@ -333,7 +325,7 @@ def _cmd_psnr(args) -> int:
     recon = read_volume(args.recon)
     reference = read_volume(args.reference)
     result = psnr_vs_reference(recon, reference)
-    print(f"psnr_db={_fmt(result.psnr_db)} rmse={_fmt(result.rmse)}")
+    print(f"psnr_db={result.psnr_db:.12g} rmse={result.rmse:.12g}")
     return 0
 
 
@@ -353,7 +345,7 @@ def _cmd_benchmark(args) -> int:
         comp = f"({rec.composition.n_f},{rec.composition.n_tx},{rec.composition.n_rx})"
         print(
             f"{comp:>14} {rec.batch_size:>6} {rec.seed:>6} {rec.iterations:>6} "
-            f"{rec.runtime_s:>10.3f} {_fmt(rec.psnr_db):>9}"
+            f"{rec.runtime_s:>10.3f} {rec.psnr_db:>9.12g}"
         )
     print(f"wrote {args.out} ({len(records)} records)")
     return 0

@@ -15,6 +15,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = [
+    "SPEED_OF_LIGHT",
+    "SingularityError",
+    "Vec3",
+    "ArrayGeometry",
+    "FrequencyGrid",
+    "VoxelGrid",
+    "voxel_centers",
+    "ConstantPulse",
+    "TabulatedPulse",
+    "PulseSpectrum",
+    "ImagingScenario",
+    "make_spiral_array",
+    "scenario_fingerprint",
+    "preset_scenario",
+]
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
 
@@ -451,6 +468,5 @@ def preset_scenario(name: str) -> ImagingScenario:
             array=make_spiral_array(16, 9, 0.25, rng_seed=_DESK_ARRAY_SEED),
             frequencies=FrequencyGrid(4.0e9, 16.0e9, 11),
             voxels=VoxelGrid(center=Vec3(0.0, 0.0, 0.5), extent=(0.3, 0.3, 0.1), dims=(61, 61, 21)),
-            pulse=ConstantPulse(1.0 + 0.0j),
         )
     raise ValueError(f"unknown preset {name!r} (available: paper-v)")

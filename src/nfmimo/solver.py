@@ -265,7 +265,6 @@ def _solve(
     full = _channel_subset(None, scenario)
     records: list[IterationRecord] = []
     termination = TERMINATION_MAX_ITERS
-    iterations = 0
 
     # the plan is ready before the clock starts, so the time budget and
     # wall_time_s cover iterations only
@@ -293,7 +292,6 @@ def _solve(
             )
         )
         s = s_next
-        iterations = k
         if progress is not None:
             progress(k, s)
         if change < config.tol:
@@ -308,7 +306,7 @@ def _solve(
 
     return SolveReport(
         volume=ReflectivityVolume(s, scenario.voxels),
-        iterations=iterations,
+        iterations=len(records),
         wall_time_s=time.perf_counter() - t_start,
         plan_s=t_start - t_plan,
         plan_cached=plan_cached,

@@ -499,8 +499,10 @@ class TestBenchmark:
         rows = out.read_text().strip().split("\n")
         assert rows[0].startswith("composition_f,")
         assert len(rows) == 3
-        table = capsys.readouterr().out
-        assert "(1,1,1)" in table and "(3,3,3)" in table
+        table = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+        # the full composition is the PGM reference itself, so it scores inf
+        assert table["(3,3,3)"][1:4] == ["27", "0", "15"] and table["(3,3,3)"][-1] == "inf"
+        assert table["(1,1,1)"][-1] != "inf"
 
     def test_empty_compositions_usage_error(self, small_files, tmp_path):
         code = main(
