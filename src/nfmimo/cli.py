@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .forward import _with_noise, forward_apply, simulate_measurements
+from .forward import forward_apply, simulate_measurements
 from .geometry import (
     FrequencyGrid,
     ImagingScenario,
@@ -251,14 +251,9 @@ def _cmd_simulate(args) -> int:
     ratio = _noise_to_signal(args.snr_db) if hasattr(args, "snr_db") else None
     scenario = read_scenario(args.scenario)
     phantom = make_phantom(args.phantom, scenario.voxels, rng_seed=args.seed)
-    if ratio is not None:
-        # one forward gives both the signal power and the measurements
-        clean = forward_apply(phantom, scenario)
-        sigma = _snr_sigma(clean, ratio)
-        measurements = _with_noise(clean, scenario, sigma, args.seed)
-    else:
-        sigma = args.noise
-        measurements = simulate_measurements(phantom, scenario, noise_sigma=sigma, rng_seed=args.seed)
+    # --snr-db takes the signal power from a clean forward of its own
+    sigma = args.noise if ratio is None else _snr_sigma(forward_apply(phantom, scenario), ratio)
+    measurements = simulate_measurements(phantom, scenario, noise_sigma=sigma, rng_seed=args.seed)
     write_measurements(measurements, args.out)
     truth = _truth_path(args.out)
     write_volume(phantom, truth)
@@ -273,6 +268,12 @@ def _check_out_dirs(*paths) -> None:
         # dirname, not Path.parent: a slice prefix "d/" writes into d
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"the directory of output path {path} does not exist")
+
+
+# the flags a solve report starts with, in its key order. Each report key
+# is its flag's argparse dest by design: renaming a flag renames its key,
+# and a new flag enters the report only when it is added here.
+_REPORT_FLAGS = ("method", "eta", "alpha", "tol", "max_iters", "seed", "batch", "time_budget_s")
 
 
 def _cmd_reconstruct(args) -> int:
@@ -300,16 +301,7 @@ def _cmd_reconstruct(args) -> int:
     report = solve(measurements.values, scenario, config)  # fingerprint enforced at load
     write_volume(report.volume, args.out)
     if args.report:
-        doc = {
-            "method": args.method,
-            "eta": args.eta,
-            "alpha": args.alpha,
-            "tol": args.tol,
-            "max_iters": args.max_iters,
-            "seed": args.seed,
-            "batch": list(args.batch) if args.batch else None,
-            "time_budget_s": args.time_budget_s,
-        }
+        doc = {name: getattr(args, name) for name in _REPORT_FLAGS}  # a tuple writes as a list
         doc.update((f.name, getattr(report, f.name)) for f in fields(report) if f.name != "volume")
         Path(args.report).write_text(json.dumps(doc, indent=2, default=asdict) + "\n")
     if args.slices:

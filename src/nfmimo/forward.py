@@ -21,11 +21,12 @@ distance from the antenna's squared offsets along the grid's three axes. A
 volume is sparse when at most N/16 of its voxels are nonzero. The tables of
 every voxel (the plan, 16*F*(T+R)*N bytes) are built by the first adjoint on
 a scenario, by a solve before its clock starts, and by a forward of a volume
-that is not sparse. Only the last scenario's plan stays cached: a plan for
-another scenario frees it first, so a process never holds two. A plan larger
-than the memory the OS reports available is refused before it is allocated.
-Before a plan is cached, a forward of a sparse volume (a simulated phantom)
-builds the tables over its nonzero voxels only.
+that is not sparse. The plan is cached in one slot, a (scenario, plan) pair
+that a lookup matches by identity first and by equality next: a plan for
+another scenario empties the slot first, so a process never holds two. A
+plan larger than the memory the OS reports available is refused before it
+is allocated. Before a plan is cached, a forward of a sparse volume (a
+simulated phantom) builds the tables over its nonzero voxels only.
 
 The forward runs one per-frequency function on either kind of table. Per
 transmitter it forms the row w = u_t * s, then takes one length-N dot of w
@@ -116,6 +117,13 @@ class ReflectivityVolume:
     @classmethod
     def zeros(cls, grid: VoxelGrid) -> "ReflectivityVolume":
         return cls(np.zeros(grid.n_voxels, dtype=np.complex128), grid)
+
+
+def _normalized_magnitude(volume: ReflectivityVolume) -> np.ndarray:
+    """|s| over its largest entry, in flat order; an all-zero volume stays zero."""
+    mag = np.abs(volume.values)
+    peak = float(mag.max())
+    return mag / peak if peak > 0 else mag
 
 
 @dataclass(eq=False)
@@ -261,10 +269,17 @@ def _tables(scenario: ImagingScenario, positions: np.ndarray, voxels: np.ndarray
     return tab
 
 
-# at most one plan, the one ``_plan`` built last; ask ``scenario in _PLANS``
-# to learn whether a plan exists without building one
-_PLANS: dict[ImagingScenario, _OperatorPlan] = {}
-_PLANS_LOCK = threading.Lock()
+# the one cached plan, as (scenario, plan): the one ``_plan`` built last
+_slot: tuple[ImagingScenario, _OperatorPlan] | None = None
+_SLOT_LOCK = threading.Lock()
+
+
+def _cached(scenario: ImagingScenario) -> _OperatorPlan | None:
+    """The cached plan of ``scenario``, or None; builds nothing."""
+    slot = _slot
+    if slot is not None and (slot[0] is scenario or slot[0] == scenario):
+        return slot[1]
+    return None
 
 
 def _build(scenario: ImagingScenario, voxels: np.ndarray) -> _OperatorPlan:
@@ -296,20 +311,22 @@ def _available_bytes() -> int | None:
 
 
 def _plan(scenario: ImagingScenario) -> _OperatorPlan:
+    global _slot
     # one lock around the lookup, the eviction and the build: a second thread
     # neither sees the slot mid-update nor builds the same plan again
-    with _PLANS_LOCK:
-        plan = _PLANS.get(scenario)
+    with _SLOT_LOCK:
+        plan = _cached(scenario)
         if plan is None:
             # free the old plan before the new one is sized and allocated
-            _PLANS.clear()
+            _slot = None
             need, available = _plan_nbytes(scenario), _available_bytes()
             if available is not None and need > available:
                 raise PlanTooLargeError(
                     f"the operator plan needs {need / 1e9:.3g} GB, but only "
                     f"{available / 1e9:.3g} GB of memory is available"
                 )
-            plan = _PLANS[scenario] = _build(scenario, np.arange(scenario.n_voxels))
+            plan = _build(scenario, np.arange(scenario.n_voxels))
+            _slot = (scenario, plan)
         return plan
 
 
@@ -380,7 +397,7 @@ def _forward_values(values: np.ndarray, scenario: ImagingScenario, idx: np.ndarr
     # each receiver's are padded into one zero row in turn, since holding all
     # F*(T+R) or T+R padded rows would take tens of MB that the heap keeps
     # resident after they are freed.
-    pad = support is not None and scenario not in _PLANS
+    pad = support is not None and _cached(scenario) is None
     if pad:
         tabs = _build(scenario, support)
         cols = slice(None)
@@ -477,15 +494,7 @@ def simulate_measurements(
     """
     sigma = _real("noise_sigma", noise_sigma, at_least=0)
     rng_seed = _count("rng_seed", rng_seed, minimum=0)
-    return _with_noise(forward_apply(s, scenario), scenario, sigma, rng_seed)
-
-
-def _with_noise(
-    y: np.ndarray, scenario: ImagingScenario, sigma: float, rng_seed: int
-) -> MeasurementSet:
-    """The clean measurements ``y`` plus noise of std ``sigma`` drawn with
-    ``rng_seed`` (the rule ``simulate_measurements`` documents); ``y`` itself
-    when sigma is 0."""
+    y = forward_apply(s, scenario)
     if sigma > 0:
         rng = np.random.default_rng(rng_seed)
         noise = rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)

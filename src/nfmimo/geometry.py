@@ -328,14 +328,6 @@ class ImagingScenario:
                     f"voxel {n} coincides with antenna at ({pos[0]}, {pos[1]}, {pos[2]})"
                 )
 
-    def __hash__(self) -> int:
-        # every operator application looks its plan up by scenario; the
-        # fields are frozen, so hash their nested tuples once
-        if "_hash" not in self.__dict__:
-            fields = (self.array, self.frequencies, self.voxels, self.pulse, self.c)
-            object.__setattr__(self, "_hash", hash(fields))
-        return self._hash
-
     @property
     def channel_shape(self) -> tuple[int, int, int]:
         """(F, T, R): channels flatten in C order over this shape, receiver

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import MeasurementSet, ReflectivityVolume
+from .forward import MeasurementSet, ReflectivityVolume, _normalized_magnitude
 from .geometry import (
     ArrayGeometry,
     ConstantPulse,
@@ -295,10 +295,7 @@ def export_slices_csv(volume: ReflectivityVolume, path_prefix) -> list[Path]:
 
     Rows run over y, columns over x; files are named <prefix>_z<k>.csv.
     """
-    mag = np.abs(volume.values).reshape(volume.grid.shape)
-    peak = float(mag.max())
-    if peak > 0:
-        mag = mag / peak
+    mag = _normalized_magnitude(volume).reshape(volume.grid.shape)
     prefix = str(path_prefix)
     paths = []
     for k, plane in enumerate(mag):

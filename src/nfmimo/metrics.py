@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forward import ReflectivityVolume
+from .forward import ReflectivityVolume, _normalized_magnitude
 from .geometry import ImagingScenario, _format_number
 from .solver import MinibatchComposition, SolverConfig, pgm_solve, spgm_solve
 
@@ -42,12 +42,6 @@ SWEEP_CSV_HEADER = [
 class PsnrResult:
     psnr_db: float  # +inf exactly when rmse == 0
     rmse: float
-
-
-def _normalized_magnitude(volume: ReflectivityVolume) -> np.ndarray:
-    mag = np.abs(volume.values)
-    peak = float(mag.max())
-    return mag / peak if peak > 0 else mag
 
 
 def psnr_vs_reference(recon: ReflectivityVolume, reference: ReflectivityVolume) -> PsnrResult:

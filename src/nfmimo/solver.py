@@ -29,7 +29,7 @@ from .forward import (
     ChannelSubset,
     MeasurementSet,
     ReflectivityVolume,
-    _PLANS,
+    _cached,
     _channel_subset,
     _complex_vector,
     _plan,
@@ -269,7 +269,7 @@ def _solve(
     # the plan is ready before the clock starts, so the time budget and
     # wall_time_s cover iterations only
     t_plan = time.perf_counter()
-    plan_cached = scenario in _PLANS
+    plan_cached = _cached(scenario) is not None
     plan = _plan(scenario)
     t_start = time.perf_counter()
     for k in range(1, config.max_iters + 1):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import nfmimo
+import nfmimo.cli
 import nfmimo.forward
 from nfmimo import (
     ReflectivityVolume,
@@ -29,6 +30,18 @@ from nfmimo.io import (
     write_measurements,
     write_volume,
 )
+
+
+def count_forwards(monkeypatch) -> list[int]:
+    """A list that gains the channel count of every forward run from now on."""
+    forward_values, calls = nfmimo.forward._forward_values, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].size)
+        return forward_values(*args, **kwargs)
+
+    monkeypatch.setattr(nfmimo.forward, "_forward_values", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -184,22 +197,33 @@ class TestSimulate:
         assert by_snr.read_bytes() == by_sigma.read_bytes()
         assert not np.array_equal(read_measurements(by_snr, scenario=scn).values, clean)
 
-    def test_snr_db_runs_one_forward_and_writes_simulate_measurements(
+    def test_noise_runs_one_forward_through_simulate_measurements(
         self, small_files, tmp_path, monkeypatch
     ):
-        forward_values = nfmimo.forward._forward_values
-        calls = []
+        # the benchmark wraps nfmimo.cli.simulate_measurements and counts
+        # simulate's forward as one of its process's two plan builds
+        forwards, simulated = count_forwards(monkeypatch), []
+        simulate = nfmimo.cli.simulate_measurements
+        monkeypatch.setattr(
+            nfmimo.cli, "simulate_measurements",
+            lambda *args, **kwargs: simulated.append(args) or simulate(*args, **kwargs),
+        )
+        assert main(["simulate", "--scenario", str(small_files["scenario"]), "--phantom",
+                     "points:2", "--seed", "11", "--noise", "0.1",
+                     "--out", str(tmp_path / "noise.nfms")]) == 0
+        assert len(simulated) == 1
+        assert forwards == [read_scenario(small_files["scenario"]).n_channels]
 
-        def counted(*args, **kwargs):
-            calls.append(args[2].size)
-            return forward_values(*args, **kwargs)
-
-        monkeypatch.setattr(nfmimo.forward, "_forward_values", counted)
+    def test_snr_db_runs_two_forwards_and_writes_simulate_measurements(
+        self, small_files, tmp_path, monkeypatch
+    ):
+        calls = count_forwards(monkeypatch)
         out = tmp_path / "snr.nfms"
         assert main(["simulate", "--scenario", str(small_files["scenario"]), "--phantom",
                      "points:2", "--seed", "11", "--snr-db", "30", "--out", str(out)]) == 0
         scn = read_scenario(small_files["scenario"])
-        assert calls == [scn.n_channels]
+        # one for the signal power, one in simulate_measurements
+        assert calls == [scn.n_channels] * 2
         truth = read_volume(tmp_path / "snr_truth.nfmv", grid=scn.voxels)
         clean = forward_apply(truth, scn)
         sigma = float(np.sqrt(np.mean(np.abs(clean) ** 2) * 10 ** (-30 / 10)))
@@ -297,7 +321,7 @@ class TestReconstruct:
         assert doc["plan_bytes"] == 16 * 3 * (6 * 50 + 1)
 
     def test_plan_too_large_exits_one(self, small_files, tmp_path, monkeypatch, capsys):
-        nfmimo.forward._PLANS.clear()
+        nfmimo.forward._slot = None
         monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 1000)
         out = tmp_path / "recon.nfmv"
         code = main(

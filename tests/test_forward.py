@@ -289,11 +289,11 @@ def test_threads_has_no_effect(case):
     outputs = []
     for kw in ({}, {"threads": 2}):
         if no_plan:
-            nfmimo.forward._PLANS.pop(scn, None)
+            nfmimo.forward._slot = None
         else:
             nfmimo.forward._plan(scn)
         outputs.append(apply(**kw))
-        assert (scn in nfmimo.forward._PLANS) != no_plan
+        assert (nfmimo.forward._cached(scn) is None) == no_plan
     assert_same_bits(*outputs)
 
 
@@ -480,9 +480,9 @@ def ragged_subset(scn: ImagingScenario) -> np.ndarray:
 
 def forward_both_ways(s, scn, subset=None):
     """(support-column output with no plan cached, output on the cached plan)."""
-    nfmimo.forward._PLANS.pop(scn, None)
+    nfmimo.forward._slot = None
     columns = forward_apply(s, scn, subset=subset)
-    assert scn not in nfmimo.forward._PLANS  # the support columns were enough
+    assert nfmimo.forward._slot is None  # the support columns were enough
     nfmimo.forward._plan(scn)
     return columns, forward_apply(s, scn, subset=subset)
 
@@ -518,23 +518,23 @@ class TestSupportColumns:
         scn = sparse_scenario()
         s = sparse_volume(scn.n_voxels, 5, seed=1)
         sub = ragged_subset(scn)
-        nfmimo.forward._PLANS.pop(scn, None)
+        nfmimo.forward._slot = None
         restricted = forward_apply(s, scn, subset=sub)
         full = forward_apply(s, scn)
-        assert scn not in nfmimo.forward._PLANS
+        assert nfmimo.forward._slot is None
         assert_same_bits(restricted, full[sub])
 
     def test_a_denser_volume_builds_the_plan(self):
         scn = sparse_scenario()
-        nfmimo.forward._PLANS.pop(scn, None)
+        nfmimo.forward._slot = None
         forward_apply(sparse_volume(scn.n_voxels, 17), scn)
-        assert scn in nfmimo.forward._PLANS
+        assert nfmimo.forward._slot[0] is scn
 
     def test_simulate_builds_no_plan(self):
         scn = sparse_scenario(array_seed=7)
-        nfmimo.forward._PLANS.pop(scn, None)
+        nfmimo.forward._slot = None
         simulate_measurements(make_phantom("points:3", scn.voxels, rng_seed=1), scn, 0.1, 2)
-        assert scn not in nfmimo.forward._PLANS
+        assert nfmimo.forward._slot is None
 
 
 def whole_row_forward(s, scenario, subset=None):
@@ -686,7 +686,7 @@ class TestPlanCache:
         plan = nfmimo.forward._plan(a)
         assert nfmimo.forward._plan(a) is plan
         nfmimo.forward._plan(b)
-        assert list(nfmimo.forward._PLANS) == [b]
+        assert nfmimo.forward._slot[0] is b and nfmimo.forward._cached(a) is None
 
     def test_frees_the_old_plan_before_building_the_next(self, monkeypatch):
         a, b = sparse_scenario(array_seed=22), sparse_scenario(array_seed=23)
@@ -706,13 +706,11 @@ class TestPlanCache:
         # different voxel counts, so a plan handed to the wrong thread shows in its shape
         scenarios = [sparse_scenario(array_seed=24), stepped_scenario(9)] * 3
         shapes = [[] for _ in scenarios]
-        cached = []
 
         def ask(k):
             for _ in range(20):
                 plan = nfmimo.forward._plan(scenarios[k])
                 shapes[k].append((plan.tx_tab.shape, plan.rx_tab.shape))
-                cached.append(len(nfmimo.forward._PLANS))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -728,7 +726,7 @@ class TestPlanCache:
         for scn, seen in zip(scenarios, shapes):
             f, t, r = scn.channel_shape
             assert seen == [((f, t, scn.n_voxels), (f, r, scn.n_voxels))] * 20
-        assert max(cached) <= 1 and len(nfmimo.forward._PLANS) <= 1
+        assert nfmimo.forward._slot[0] in scenarios
 
     def test_a_scenario_read_back_from_json_finds_the_plan(self, tmp_path):
         scn = sparse_scenario(array_seed=30)
@@ -736,14 +734,37 @@ class TestPlanCache:
         write_scenario(scn, tmp_path / "scn.json")
         again = read_scenario(tmp_path / "scn.json")
         assert again == scn and again is not scn and hash(again) == hash(scn)
-        assert again in nfmimo.forward._PLANS
+        assert nfmimo.forward._cached(again) is plan
         assert nfmimo.forward._plan(again) is plan
+
+    def test_a_lookup_matches_by_identity_then_equality_and_never_hashes(self, monkeypatch):
+        scn = sparse_scenario(array_seed=31)
+        again = sparse_scenario(array_seed=31)
+        plan = nfmimo.forward._plan(scn)
+        compared = []
+        field_eq = ImagingScenario.__eq__
+
+        def counted(a, b):
+            compared.append((a, b))
+            return field_eq(a, b)
+
+        def unhashable(_):
+            raise AssertionError("a plan lookup hashed the scenario")
+
+        monkeypatch.setattr(ImagingScenario, "__eq__", counted)
+        monkeypatch.setattr(ImagingScenario, "__hash__", unhashable)
+        assert nfmimo.forward._plan(scn) is plan
+        forward_apply(sparse_volume(scn.n_voxels, 5), scn)
+        pgm_solve(np.zeros(scn.n_channels, dtype=complex), scn, SolverConfig(max_iters=1))
+        assert compared == []  # the slot holds scn itself
+        assert nfmimo.forward._plan(again) is plan
+        assert compared == [(scn, again)]
 
 
 
 class TestPlanSizeRefusal:
     def test_message_names_both_sizes(self, tiny_scenario, monkeypatch):
-        nfmimo.forward._PLANS.clear()
+        nfmimo.forward._slot = None
         monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 100)
         # 16 bytes x 2 frequencies x (1 + 4 antennas x 4 voxels) = 544 bytes
         with pytest.raises(PlanTooLargeError, match=r"needs 5\.44e-07 GB.* 1e-07 GB"):
@@ -765,7 +786,7 @@ class TestPlanSizeRefusal:
             with pytest.raises(PlanTooLargeError):
                 adjoint_apply(zeros, scn)
             refused_peak = tracemalloc.get_traced_memory()[1]
-            assert not nfmimo.forward._PLANS
+            assert nfmimo.forward._slot is None
             # the same measure sees the tables of a plan that fits
             monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: need)
             tracemalloc.reset_peak()
@@ -795,7 +816,7 @@ class TestPlanSizeRefusal:
         monkeypatch.setattr(nfmimo.forward, "open", lambda _: open(fake), raising=False)
         assert nfmimo.forward._available_bytes() is None
         scn = sparse_scenario(array_seed=42)
-        nfmimo.forward._PLANS.clear()
+        nfmimo.forward._slot = None
         assert nfmimo.forward._plan(scn).nbytes == nfmimo.forward._plan_nbytes(scn)
 
     def test_reads_memavailable(self, tmp_path, monkeypatch):

@@ -1,7 +1,12 @@
 """The package namespace: ``nfmimo`` re-exports each library module's
 ``__all__`` and nothing else."""
 
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import nfmimo
 import nfmimo.forward
@@ -46,3 +51,32 @@ def test_exports_are_the_library_modules_all():
     for module in LIBRARY_MODULES:
         for name in module.__all__:
             assert getattr(nfmimo, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def _modules_loaded_by(statement: str) -> tuple[set[str], set[str]]:
+    """(modules loaded before, modules loaded by) ``statement``, run in a
+    fresh interpreter that imports the checkout's package."""
+    src = str(Path(nfmimo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = (
+        "import json, sys; before = set(sys.modules); " + statement + "; "
+        "print(json.dumps([sorted(before), sorted(set(sys.modules) - before)]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    before, loaded = json.loads(proc.stdout)
+    return set(before), set(loaded)
+
+
+def test_the_cli_imports_numpy_and_no_worker_pool():
+    # numpy is the only non-stdlib module, and BLAS the only parallelism layer
+    _, loaded = _modules_loaded_by("import nfmimo.cli")
+    tops = {name.split(".")[0] for name in loaded}
+    assert tops - set(sys.stdlib_module_names) - {"nfmimo", "numpy"} == set()
+    assert tops & {"concurrent", "multiprocessing"} == set()
+
+
+def test_import_nfmimo_loads_neither_io_nor_cli():
+    before, loaded = _modules_loaded_by("import nfmimo")
+    assert {"nfmimo.io", "nfmimo.cli"} & (before | loaded) == set()

@@ -361,7 +361,7 @@ class TestPgmSolve:
             time.sleep(0.3)
             return build(scenario, voxels)
 
-        nfmimo.forward._PLANS.clear()
+        nfmimo.forward._slot = None
         monkeypatch.setattr(nfmimo.forward, "_build", slow_build)
         y = random_complex(rng, scn.n_channels)
         cfg = SolverConfig(max_iters=3, tol=1e-300, time_budget_s=0.25)
@@ -378,7 +378,7 @@ class TestPgmSolve:
             frequencies=FrequencyGrid(3e9, 5e9, 4),
             voxels=VoxelGrid(center=Vec3(0, 0, 0.2), extent=(0.02, 0.02, 0), dims=(5, 3, 1)),
         )
-        nfmimo.forward._PLANS.pop(scn, None)
+        nfmimo.forward._slot = None
         y = random_complex(rng, scn.n_channels)
         cfg = SolverConfig(max_iters=2, tol=1e-300)
         first, second = pgm_solve(y, scn, cfg), pgm_solve(y, scn, cfg)
