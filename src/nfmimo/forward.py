@@ -230,10 +230,6 @@ class _OperatorPlan:
     tx_tab: np.ndarray  # (F, T, N) complex
     rx_tab: np.ndarray  # (F, R, N) complex
 
-    @property
-    def nbytes(self) -> int:
-        return self.pulse_vals.nbytes + self.tx_tab.nbytes + self.rx_tab.nbytes
-
 
 _ANCHOR = 8  # table rows per directly evaluated row; the rest by recurrence
 
@@ -292,7 +288,7 @@ def _build(scenario: ImagingScenario, voxels: np.ndarray) -> _OperatorPlan:
 
 
 def _plan_nbytes(scenario: ImagingScenario) -> int:
-    """The ``nbytes`` of the plan ``_plan`` builds: F pulse values and
+    """The summed ``nbytes`` of the arrays ``_plan`` builds: F pulse values and
     F*(T+R)*N table entries, 16 bytes each."""
     f, t, r = scenario.channel_shape
     return 16 * f * (1 + (t + r) * scenario.n_voxels)

@@ -2,6 +2,10 @@
 them. ``ImagingScenario.channel_shape`` and ``VoxelGrid.shape`` define the flat
 channel and voxel numberings.
 
+The scenario document is written (``scenario_to_document``, ``scenario_bytes``),
+fingerprinted and read back (``document_to_scenario``) here, and the reader
+checks each value with the types' own validators, naming its key path.
+
 All types here are immutable after construction, so they are safe to share.
 Distances are meters, frequencies Hz.
 """
@@ -370,11 +374,10 @@ def make_spiral_array(n_tx: int, n_rx: int, radius: float, rng_seed: int = 0) ->
     return ArrayGeometry(transmitters=tx, receivers=rx)
 
 
-# --- canonical JSON document and fingerprint ------------------------------
+# --- scenario document: writer, canonical text, fingerprint, reader ------
 #
-# The one serialization of a scenario lives here, next to the fingerprint
-# that pairs measurement files with their scenario; nfmimo.io writes scenario
-# files as exactly this text and owns the reader's schema checks.
+# The one serialization of a scenario and the fingerprint that pairs
+# measurement files with it; nfmimo.io writes and reads files through these.
 
 
 def _complex_pair(v: complex) -> list[float]:
@@ -437,10 +440,100 @@ def dumps_canonical(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def scenario_bytes(scenario: ImagingScenario) -> bytes:
+    """The canonical document as UTF-8: a scenario file's exact bytes."""
+    return dumps_canonical(scenario_to_document(scenario)).encode("utf-8")
+
+
 def scenario_fingerprint(scenario: ImagingScenario) -> bytes:
     """32-byte SHA-256 of the canonical scenario document."""
-    doc = scenario_to_document(scenario)
-    return hashlib.sha256(dumps_canonical(doc).encode("utf-8")).digest()
+    return hashlib.sha256(scenario_bytes(scenario)).digest()
+
+
+def _object(doc, keys: set[str], path: str) -> dict:
+    """A JSON object at ``path`` ("" for the whole document) holding exactly
+    ``keys``; the message names the offending key by its full path."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path or 'scenario document'} must be a JSON object")
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown key {prefix}{key}")
+    for key in sorted(keys):  # the same key is named on every run
+        if key not in doc:
+            raise ValueError(f"missing key {prefix}{key}")
+    return doc
+
+
+def _json_integer(path: str, value) -> int:
+    """An integer leaf (a count or a dim); the scenario types check its range."""
+    if not _is_integer(value):
+        raise ValueError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _numbers(value, path: str, n: int | None = None, leaf=_real) -> list:
+    """A list of ``n`` leaves (any length when ``n`` is None), each checked by
+    ``leaf`` under its own key path."""
+    if not isinstance(value, list) or (n is not None and len(value) != n):
+        count = f"{n} " if n else ""
+        raise ValueError(f"{path} must be a list of {count}numbers")
+    return [leaf(f"{path}[{i}]", v) for i, v in enumerate(value)]
+
+
+def _parse_pulse(doc) -> PulseSpectrum:
+    # the mode picks the key set, so it is checked first
+    if not isinstance(doc, dict):
+        raise ValueError("pulse must be a JSON object")
+    if "mode" not in doc:
+        raise ValueError("missing key pulse.mode")
+    if doc["mode"] == "constant":
+        _object(doc, {"mode", "value"}, "pulse")
+        return ConstantPulse(complex(*_numbers(doc["value"], "pulse.value", 2)))
+    if doc["mode"] == "tabulated":
+        _object(doc, {"mode", "frequencies_hz", "values"}, "pulse")
+        vals = doc["values"]
+        if not isinstance(vals, list):
+            raise ValueError("pulse.values must be a list of [re, im] pairs")
+        return TabulatedPulse(
+            tuple(_numbers(doc["frequencies_hz"], "pulse.frequencies_hz")),
+            tuple(complex(*_numbers(v, f"pulse.values[{i}]", 2)) for i, v in enumerate(vals)),
+        )
+    raise ValueError("pulse.mode must be 'constant' or 'tabulated'")
+
+
+def _parse_antennas(doc, key: str) -> tuple[Vec3, ...]:
+    v = doc[key]
+    if not isinstance(v, list) or not v:
+        raise ValueError(f"{key} must be a non-empty list of [x, y, z] positions")
+    return tuple(Vec3(*_numbers(pos, f"{key}[{i}]", 3)) for i, pos in enumerate(v))
+
+
+def document_to_scenario(doc) -> ImagingScenario:
+    """The scenario a decoded JSON document describes; a value that breaks the
+    schema is a ``ValueError`` naming its key path."""
+    top = {"speed_of_light", "frequencies", "voxels", "pulse", "transmitters", "receivers"}
+    _object(doc, top, "")
+    freq_doc = _object(doc["frequencies"], {"start_hz", "stop_hz", "count"}, "frequencies")
+    vox_doc = _object(doc["voxels"], {"center", "extent", "dims"}, "voxels")
+    return ImagingScenario(
+        array=ArrayGeometry(
+            transmitters=_parse_antennas(doc, "transmitters"),
+            receivers=_parse_antennas(doc, "receivers"),
+        ),
+        frequencies=FrequencyGrid(
+            f_start=_real("frequencies.start_hz", freq_doc["start_hz"]),
+            f_stop=_real("frequencies.stop_hz", freq_doc["stop_hz"]),
+            count=_json_integer("frequencies.count", freq_doc["count"]),
+        ),
+        voxels=VoxelGrid(
+            center=Vec3(*_numbers(vox_doc["center"], "voxels.center", 3)),
+            extent=tuple(_numbers(vox_doc["extent"], "voxels.extent", 3)),
+            dims=tuple(_numbers(vox_doc["dims"], "voxels.dims", 3, _json_integer)),
+        ),
+        pulse=_parse_pulse(doc["pulse"]),
+        c=_real("speed_of_light", doc["speed_of_light"]),
+    )
 
 
 # --- presets ---------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Bit-exact file formats: binary volumes and measurements, JSON scenarios,
-and CSV slice export for plotting.
+"""Bit-exact file formats: binary volumes and measurements, the scenario
+file, and CSV slice export for plotting.
 
 Both binary formats share one container (all little-endian):
 
@@ -15,9 +15,9 @@ The checksum is the sum of the payload bytes modulo 2^64. Readers validate
 lengths before touching the payload and reject non-finite payload values, so
 corrupt or truncated files raise a FormatError subclass instead of crashing.
 
-A scenario file is its canonical document (``dumps_canonical``: compact, sorted
-keys, 17 significant digits, no trailing newline), so its SHA-256 is the
-fingerprint NFMS headers carry; the reader takes any JSON layout of it.
+A scenario file is the canonical document that ``nfmimo.geometry`` writes,
+reads and fingerprints (compact, sorted keys, 17 significant digits), so its
+SHA-256 is the fingerprint NFMS headers carry; a refused one is a SchemaError.
 """
 
 from __future__ import annotations
@@ -29,17 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .forward import MeasurementSet, ReflectivityVolume, _normalized_magnitude
-from .geometry import (
-    ArrayGeometry,
-    ConstantPulse,
-    FrequencyGrid,
-    ImagingScenario,
-    TabulatedPulse,
-    Vec3,
-    VoxelGrid,
-    dumps_canonical,
-    scenario_to_document,
-)
+from .geometry import ImagingScenario, Vec3, VoxelGrid, document_to_scenario, scenario_bytes
 
 __all__ = [
     "FormatError",
@@ -184,107 +174,24 @@ def read_measurements(path, scenario: ImagingScenario | None = None) -> Measurem
     return measurements
 
 
-# --- scenario JSON documents ------------------------------------------------
-
-
-def _object(doc, keys: set[str], path: str) -> dict:
-    """A JSON object at ``path`` ("" for the whole document) holding exactly
-    ``keys``; the message names the offending key by its full path."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path or 'scenario document'} must be a JSON object")
-    prefix = f"{path}." if path else ""
-    for key in doc:
-        if key not in keys:
-            raise SchemaError(f"unknown key {prefix}{key}")
-    for key in sorted(keys):  # the same key is named on every run
-        if key not in doc:
-            raise SchemaError(f"missing key {prefix}{key}")
-    return doc
-
-
-def _number(value, path: str, integer: bool = False):
-    """A numeric leaf of a scenario document: a JSON number (an integer when
-    asked), never a bool or a string. The scenario types check its value."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise SchemaError(f"{path} must be {kind}, got {value!r}")
-    return value if integer else float(value)
-
-
-def _numbers(value, path: str, n: int | None = None, integer: bool = False) -> list:
-    """A list of ``n`` numeric leaves (any length when ``n`` is None)."""
-    if not isinstance(value, list) or (n is not None and len(value) != n):
-        count = f"{n} " if n else ""
-        raise SchemaError(f"{path} must be a list of {count}numbers")
-    return [_number(v, f"{path}[{i}]", integer) for i, v in enumerate(value)]
-
-
-def _parse_pulse(doc):
-    mode = doc.get("mode") if isinstance(doc, dict) else None
-    if mode == "constant":
-        _object(doc, {"mode", "value"}, "pulse")
-        return ConstantPulse(complex(*_numbers(doc["value"], "pulse.value", 2)))
-    if mode == "tabulated":
-        _object(doc, {"mode", "frequencies_hz", "values"}, "pulse")
-        vals = doc["values"]
-        if not isinstance(vals, list):
-            raise SchemaError("pulse.values must be a list of [re, im] pairs")
-        return TabulatedPulse(
-            tuple(_numbers(doc["frequencies_hz"], "pulse.frequencies_hz")),
-            tuple(complex(*_numbers(v, f"pulse.values[{i}]", 2)) for i, v in enumerate(vals)),
-        )
-    _object(doc, {"mode"}, "pulse")  # a pulse that is no object or has no mode
-    raise SchemaError("pulse.mode must be 'constant' or 'tabulated'")
-
-
-def _parse_antennas(doc, key: str) -> tuple[Vec3, ...]:
-    v = doc[key]
-    if not isinstance(v, list) or not v:
-        raise SchemaError(f"{key} must be a non-empty list of [x, y, z] positions")
-    return tuple(Vec3(*_numbers(pos, f"{key}[{i}]", 3)) for i, pos in enumerate(v))
-
-
-def document_to_scenario(doc: dict) -> ImagingScenario:
-    top = {"speed_of_light", "frequencies", "voxels", "pulse", "transmitters", "receivers"}
-    _object(doc, top, "")
-    freq_doc = _object(doc["frequencies"], {"start_hz", "stop_hz", "count"}, "frequencies")
-    vox_doc = _object(doc["voxels"], {"center", "extent", "dims"}, "voxels")
-    try:
-        return ImagingScenario(
-            array=ArrayGeometry(
-                transmitters=_parse_antennas(doc, "transmitters"),
-                receivers=_parse_antennas(doc, "receivers"),
-            ),
-            frequencies=FrequencyGrid(
-                f_start=_number(freq_doc["start_hz"], "frequencies.start_hz"),
-                f_stop=_number(freq_doc["stop_hz"], "frequencies.stop_hz"),
-                count=_number(freq_doc["count"], "frequencies.count", integer=True),
-            ),
-            voxels=VoxelGrid(
-                center=Vec3(*_numbers(vox_doc["center"], "voxels.center", 3)),
-                extent=tuple(_numbers(vox_doc["extent"], "voxels.extent", 3)),
-                dims=tuple(_numbers(vox_doc["dims"], "voxels.dims", 3, integer=True)),
-            ),
-            pulse=_parse_pulse(doc["pulse"]),
-            c=_number(doc["speed_of_light"], "speed_of_light"),
-        )
-    except FormatError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"invalid scenario document: {exc}") from exc
+# --- scenario files -----------------------------------------------------------
 
 
 def write_scenario(scenario: ImagingScenario, path) -> None:
-    """Write the canonical document, the text ``scenario_fingerprint`` hashes."""
-    Path(path).write_bytes(dumps_canonical(scenario_to_document(scenario)).encode("utf-8"))
+    """Write the canonical document, the bytes ``scenario_fingerprint`` hashes."""
+    Path(path).write_bytes(scenario_bytes(scenario))
 
 
 def read_scenario(path) -> ImagingScenario:
+    """Read a scenario file of any JSON layout; any refusal is a SchemaError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
-    return document_to_scenario(doc)
+    try:
+        return document_to_scenario(doc)
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 # --- CSV slice export ---------------------------------------------------------

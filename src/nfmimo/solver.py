@@ -33,6 +33,7 @@ from .forward import (
     _channel_subset,
     _complex_vector,
     _plan,
+    _plan_nbytes,
     adjoint_apply,
     forward_apply,
 )
@@ -270,7 +271,7 @@ def _solve(
     # wall_time_s cover iterations only
     t_plan = time.perf_counter()
     plan_cached = _cached(scenario) is not None
-    plan = _plan(scenario)
+    _plan(scenario)
     t_start = time.perf_counter()
     for k in range(1, config.max_iters + 1):
         t_iter = time.perf_counter()
@@ -310,7 +311,7 @@ def _solve(
         wall_time_s=time.perf_counter() - t_start,
         plan_s=t_start - t_plan,
         plan_cached=plan_cached,
-        plan_bytes=plan.nbytes,
+        plan_bytes=_plan_nbytes(scenario),
         per_iteration=records,
         termination=termination,
     )

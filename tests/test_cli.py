@@ -608,7 +608,7 @@ class TestNonFiniteInput:
         bad = tmp_path / "nan.json"
         bad.write_text(json.dumps(doc))
         assert main(["info", "--scenario", str(bad)]) == 1
-        assert "pulse values must be finite" in capsys.readouterr().err
+        assert "pulse.values[1][0] must be finite" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

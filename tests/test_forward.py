@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -761,6 +762,10 @@ class TestPlanCache:
         assert compared == [(scn, again)]
 
 
+def built_nbytes(plan) -> int:
+    """The summed ``nbytes`` of the arrays a plan holds."""
+    return sum(getattr(plan, f.name).nbytes for f in fields(plan))
+
 
 class TestPlanSizeRefusal:
     def test_message_names_both_sizes(self, tiny_scenario, monkeypatch):
@@ -803,7 +808,7 @@ class TestPlanSizeRefusal:
             "sparse": sparse_scenario(array_seed=41),
             "paper-v": preset_scenario("paper-v"),
         }[name]
-        assert nfmimo.forward._plan_nbytes(scn) == nfmimo.forward._plan(scn).nbytes
+        assert nfmimo.forward._plan_nbytes(scn) == built_nbytes(nfmimo.forward._plan(scn))
 
     @pytest.mark.parametrize(
         "meminfo", [None, "MemTotal: 100 kB\n", "MemAvailable: many kB\n"],
@@ -817,7 +822,7 @@ class TestPlanSizeRefusal:
         assert nfmimo.forward._available_bytes() is None
         scn = sparse_scenario(array_seed=42)
         nfmimo.forward._slot = None
-        assert nfmimo.forward._plan(scn).nbytes == nfmimo.forward._plan_nbytes(scn)
+        assert built_nbytes(nfmimo.forward._plan(scn)) == nfmimo.forward._plan_nbytes(scn)
 
     def test_reads_memavailable(self, tmp_path, monkeypatch):
         fake = tmp_path / "meminfo"

@@ -377,7 +377,9 @@ class TestScenarioJson:
         with pytest.raises(SchemaError, match="finite"):
             read_scenario(path)
 
-    @pytest.mark.parametrize("bad", [True, "0.2"], ids=["bool", "string"])
+    @pytest.mark.parametrize(
+        "bad", [True, "0.2", float("nan"), float("inf")], ids=["bool", "string", "nan", "inf"]
+    )
     @pytest.mark.parametrize(
         "key_path, pointer",
         [
@@ -397,7 +399,7 @@ class TestScenarioJson:
         for key in pointer[:-1]:
             parent = parent[key]
         parent[pointer[-1]] = bad
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc))  # NaN and Infinity literals json.loads accepts
         with pytest.raises(SchemaError, match=re.escape(key_path)):
             read_scenario(path)
 
@@ -412,6 +414,23 @@ class TestScenarioJson:
             doc[name] = [doc[name]]
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=f"^{name} must be a JSON object$"):
+            read_scenario(path)
+
+    @pytest.mark.parametrize(
+        "pulse, message",
+        [
+            ({"mode": "gaussian", "value": [1, 0]}, "pulse.mode must be 'constant' or 'tabulated'"),
+            ({"value": [1, 0]}, "missing key pulse.mode"),
+        ],
+        ids=["unknown-mode", "no-mode"],
+    )
+    def test_pulse_mode_is_checked_before_its_keys(self, tmp_path, pulse, message):
+        path = tmp_path / "scn.json"
+        write_scenario(_tabulated_scenario(), path)
+        doc = json.loads(path.read_text())
+        doc["pulse"] = pulse
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             read_scenario(path)
 
     def test_tabulated_pulse_round_trip(self, tmp_path):

@@ -80,3 +80,11 @@ def test_the_cli_imports_numpy_and_no_worker_pool():
 def test_import_nfmimo_loads_neither_io_nor_cli():
     before, loaded = _modules_loaded_by("import nfmimo")
     assert {"nfmimo.io", "nfmimo.cli"} & (before | loaded) == set()
+
+
+def test_io_holds_no_scenario_document_keys():
+    # nfmimo.geometry reads, writes and fingerprints the scenario document;
+    # a document key in io would be a second reader of it
+    source = Path(nfmimo.__file__).with_name("io.py").read_text(encoding="utf-8")
+    for key in ('"start_hz"', '"stop_hz"', '"frequencies_hz"', '"speed_of_light"'):
+        assert key not in source, key
