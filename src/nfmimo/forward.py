@@ -169,7 +169,8 @@ class ChannelSubset:
         idx = idx.astype(np.int64, copy=False)
         if np.any(idx < 0):
             raise ValueError("channel indices must be non-negative")
-        if np.unique(idx).size != idx.size:
+        ordered = np.sort(idx)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("channel subset contains duplicates")
         idx.setflags(write=False)
         self.indices = idx
@@ -358,12 +359,19 @@ def _by_frequency(idx: np.ndarray, scenario: ImagingScenario):
     subset here, so they map every channel to the same triple.
     """
     fi, ti, ri = np.unravel_index(idx, scenario.channel_shape)
-    for f in np.unique(fi):
+    for f in _touched(fi):
         pos = np.flatnonzero(fi == f)
         t, r = ti[pos], ri[pos]
-        ts, rs = np.unique(t), np.unique(r)
-        # same places as np.unique's return_inverse, at a third of its cost
+        ts, rs = _touched(t), _touched(r)
+        # each channel's row in ts and rs, by binary search in the sorted list
         yield int(f), pos, ts, np.searchsorted(ts, t), rs, np.searchsorted(rs, r)
+
+
+def _touched(v: np.ndarray) -> np.ndarray:
+    """The distinct values of the non-negative indices ``v``, ascending. A
+    plain ``unique`` call would import ``numpy.ma`` on numpy >= 2.3, about
+    10 ms of every process's first channel split."""
+    return np.flatnonzero(np.bincount(v))
 
 
 _TILE = 4096  # voxels per adjoint tile; it bounds the temporaries

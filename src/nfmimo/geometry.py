@@ -51,7 +51,10 @@ def _real(name: str, value, above: float | None = None, at_least: float | None =
     """``value`` as a finite float, optionally > ``above`` or >= ``at_least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {v!r}")
     if above is not None and not v > above:
@@ -465,10 +468,16 @@ def _object(doc, keys: set[str], path: str) -> dict:
     return doc
 
 
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+
+
 def _json_integer(path: str, value) -> int:
-    """An integer leaf (a count or a dim); the scenario types check its range."""
+    """An integer leaf (a count or a dim) that numpy can index; the scenario
+    types check its lower bound."""
     if not _is_integer(value):
         raise ValueError(f"{path} must be an integer, got {value!r}")
+    if value > _INDEX_MAX:
+        raise ValueError(f"{path} must be at most {_INDEX_MAX}, the largest numpy index")
     return value
 
 

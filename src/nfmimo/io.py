@@ -184,9 +184,11 @@ def write_scenario(scenario: ImagingScenario, path) -> None:
 
 def read_scenario(path) -> ImagingScenario:
     """Read a scenario file of any JSON layout; any refusal is a SchemaError."""
+    # ValueError covers bad JSON, bad UTF-8 and an integer past Python's
+    # 4300-digit conversion limit; RecursionError, nesting too deep to decode
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
     try:
         return document_to_scenario(doc)

@@ -693,6 +693,30 @@ class TestExitCodes:
         assert "scenario file is not valid JSON" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "key_path, set_leaf",
+        [
+            ("speed_of_light", lambda doc: doc.update(speed_of_light=10**400)),
+            ("frequencies.start_hz", lambda doc: doc["frequencies"].update(start_hz=10**400)),
+            ("transmitters[0][0]", lambda doc: doc["transmitters"][0].__setitem__(0, 10**400)),
+            ("voxels.dims[0]", lambda doc: doc["voxels"].update(dims=[10**30, 2, 2])),
+            ("frequencies.count", lambda doc: doc["frequencies"].update(count=10**30)),
+        ],
+        ids=["speed-of-light", "start-hz", "antenna", "dims", "count"],
+    )
+    def test_out_of_range_integer_is_one_error_line(
+        self, small_files, tmp_path, capsys, key_path, set_leaf
+    ):
+        doc = json.loads(small_files["scenario"].read_text())
+        set_leaf(doc)
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["info", "--scenario", str(bad)]) == 1
+        repro, error = capsys.readouterr().err.splitlines()
+        assert repro.startswith("# nfmimo ")
+        assert error.startswith(f"error: {key_path} must be ")
+
     def test_info_requires_scenario_flag(self):
         assert main(["info"]) == 2
 

@@ -904,7 +904,10 @@ class TestChannelSplit:
         for f, pos, ts, tpos, rs, rpos in nfmimo.forward._by_frequency(idx, small_scenario):
             freqs.append(f)
             seen.extend(pos)
-            assert np.all(np.diff(ts) > 0) and np.all(np.diff(rs) > 0)
+            # ts and rs are the touched transmitters and receivers, ascending
+            _, t_all, r_all = np.unravel_index(idx[pos], small_scenario.channel_shape)
+            assert ts.tolist() == sorted(set(t_all.tolist()))
+            assert rs.tolist() == sorted(set(r_all.tolist()))
             for k, t, r in zip(pos, ts[tpos], rs[rpos]):
                 assert np.unravel_index(idx[k], small_scenario.channel_shape) == (f, t, r)
         assert freqs == sorted(set(freqs))

@@ -288,6 +288,20 @@ def _tabulated_scenario():
     )
 
 
+def _scenario_file(tmp_path, scenario, pointer, value):
+    """A scenario file holding ``scenario`` with the leaf at ``pointer`` (keys
+    and list indices from the document's root) set to ``value``."""
+    path = tmp_path / "scn.json"
+    write_scenario(scenario, path)
+    doc = json.loads(path.read_text())
+    parent = doc
+    for key in pointer[:-1]:
+        parent = parent[key]
+    parent[pointer[-1]] = value
+    path.write_text(json.dumps(doc))  # NaN and Infinity literals json.loads accepts
+    return path
+
+
 class TestScenarioJson:
     def test_round_trip_preserves_fingerprint(self, tmp_path):
         scn = preset_scenario("paper-v")
@@ -392,15 +406,46 @@ class TestScenarioJson:
         ids=["antenna", "pulse-knot", "center", "extent", "speed-of-light"],
     )
     def test_number_leaf_must_be_a_json_number(self, tmp_path, key_path, pointer, bad):
-        path = tmp_path / "scn.json"
-        write_scenario(_tabulated_scenario(), path)
-        doc = json.loads(path.read_text())
-        parent = doc
-        for key in pointer[:-1]:
-            parent = parent[key]
-        parent[pointer[-1]] = bad
-        path.write_text(json.dumps(doc))  # NaN and Infinity literals json.loads accepts
+        path = _scenario_file(tmp_path, _tabulated_scenario(), pointer, bad)
         with pytest.raises(SchemaError, match=re.escape(key_path)):
+            read_scenario(path)
+
+    @pytest.mark.parametrize(
+        "key_path, pointer, big",
+        [
+            ("speed_of_light", ("speed_of_light",), 10**400),
+            ("frequencies.start_hz", ("frequencies", "start_hz"), 10**400),
+            ("transmitters[0][0]", ("transmitters", 0, 0), 10**400),
+            ("voxels.dims[0]", ("voxels", "dims", 0), 10**30),
+            ("frequencies.count", ("frequencies", "count"), 10**30),
+            ("frequencies.count", ("frequencies", "count"), 2**63),
+        ],
+        ids=["speed-of-light", "start-hz", "antenna", "dims", "count", "count-2^63"],
+    )
+    def test_integer_out_of_range_names_key_path(self, tmp_path, key_path, pointer, big):
+        # a real past the float range, or a count or dim numpy cannot index
+        path = _scenario_file(tmp_path, _tabulated_scenario(), pointer, big)
+        with pytest.raises(SchemaError, match=f"^{re.escape(key_path)} must be "):
+            read_scenario(path)
+
+    @pytest.mark.parametrize(
+        "pointer, value, attr, expected",
+        [
+            (("frequencies", "count"), 10**9, "n_channels", 144 * 10**9),
+            (("frequencies", "count"), 2**63 - 1, "n_channels", 144 * (2**63 - 1)),
+            (("voxels", "dims"), [10**6] * 3, "n_voxels", 10**18),
+        ],
+        ids=["1e9-frequencies", "largest-index", "1e6-voxels-per-axis"],
+    )
+    def test_large_indexable_sizes_still_read(self, tmp_path, pointer, value, attr, expected):
+        path = _scenario_file(tmp_path, preset_scenario("paper-v"), pointer, value)
+        assert getattr(read_scenario(path), attr) == expected
+
+    def test_integer_past_the_digit_limit_is_schema_error(self, tmp_path):
+        # json.loads refuses an integer of more than 4300 digits with a ValueError
+        path = _scenario_file(tmp_path, _tabulated_scenario(), ("speed_of_light",), "BIG")
+        path.write_text(path.read_text().replace('"BIG"', "1" * 5000))
+        with pytest.raises(SchemaError, match="not valid JSON"):
             read_scenario(path)
 
     @pytest.mark.parametrize("name", ["scenario document", "frequencies", "voxels", "pulse"])
