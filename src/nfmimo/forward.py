@@ -84,7 +84,7 @@ __all__ = [
 
 
 class DenseCapError(RuntimeError):
-    """Dense materialization would exceed the configured entry cap."""
+    """Dense materialization would exceed the entry cap."""
 
 
 class PlanTooLargeError(ValueError):
@@ -208,12 +208,15 @@ def matrix_element(m: int, n: int, scenario: ImagingScenario) -> complex:
     return complex(_element_row(scenario, m, center)[0])
 
 
-def materialize_dense(scenario: ImagingScenario, cap: int = 10_000_000) -> np.ndarray:
+_DENSE_CAP = 10_000_000  # entries; 160 MB of complex128
+
+
+def materialize_dense(scenario: ImagingScenario) -> np.ndarray:
     """Dense M x N operator matrix. Test oracle only; refuses big scenarios."""
     m_count, n_count = scenario.n_channels, scenario.n_voxels
-    if m_count * n_count > cap:
+    if m_count * n_count > _DENSE_CAP:
         raise DenseCapError(
-            f"dense operator would hold {m_count * n_count} entries (cap {cap})"
+            f"dense operator would hold {m_count * n_count} entries (cap {_DENSE_CAP})"
         )
     centers = voxel_centers(scenario.voxels)
     out = np.empty((m_count, n_count), dtype=np.complex128)

@@ -43,6 +43,8 @@ class SingularityError(ValueError):
     """A voxel center coincides with an antenna (propagation term blows up)."""
 
 
+_INDEX_MAX = int(np.iinfo(np.intp).max)  # the largest count numpy can index
+
 # One validator per kind of scalar input. Each refuses with a ValueError that
 # names the input; none coerces a bool or a string into a number.
 
@@ -110,13 +112,6 @@ class Vec3:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
 
 
-def _as_vec3(value) -> Vec3:
-    if isinstance(value, Vec3):
-        return value
-    x, y, z = value
-    return Vec3(x, y, z)
-
-
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Transmit and receive antenna positions, all in the z=0 plane."""
@@ -125,14 +120,14 @@ class ArrayGeometry:
     receivers: tuple[Vec3, ...]
 
     def __post_init__(self):
-        tx = tuple(_as_vec3(p) for p in self.transmitters)
-        rx = tuple(_as_vec3(p) for p in self.receivers)
-        object.__setattr__(self, "transmitters", tx)
-        object.__setattr__(self, "receivers", rx)
-        for name, ants in (("transmitters", tx), ("receivers", rx)):
+        for name in ("transmitters", "receivers"):
+            ants = tuple(getattr(self, name))
+            object.__setattr__(self, name, ants)
             if not ants:
                 raise ValueError(f"{name} must be non-empty")
             for p in ants:
+                if not isinstance(p, Vec3):
+                    raise ValueError(f"{name} must hold Vec3 points, got {p!r}")
                 if p.z != 0.0:
                     raise ValueError(f"all {name} must lie in the z=0 plane, got z={p.z}")
             if len({(p.x, p.y, p.z) for p in ants}) != len(ants):
@@ -198,9 +193,14 @@ class VoxelGrid:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_vec3(self.center))
+        if not isinstance(self.center, Vec3):
+            raise ValueError(f"center must be a Vec3, got {self.center!r}")
         ext = tuple(_real(f"extent[{i}]", e, at_least=0) for i, e in enumerate(self.extent))
         dims = tuple(_count(f"dims[{i}]", d) for i, d in enumerate(self.dims))
+        if math.prod(dims) > _INDEX_MAX:
+            raise ValueError(
+                f"dims {dims} hold more than {_INDEX_MAX} voxels, numpy's largest index"
+            )
         object.__setattr__(self, "extent", ext)
         object.__setattr__(self, "dims", dims)
         for axis, (e, d) in enumerate(zip(ext, dims)):
@@ -225,17 +225,12 @@ class VoxelGrid:
             e / (d - 1) if d > 1 else 0.0 for e, d in zip(self.extent, self.dims)
         )
 
-    @property
-    def corner(self) -> Vec3:
-        c, e = self.center, self.extent
-        return Vec3(c.x - e[0] / 2.0, c.y - e[1] / 2.0, c.z - e[2] / 2.0)
-
 
 def _center(grid: VoxelGrid, ix, iy, iz) -> tuple:
     """(x, y, z) of voxel (ix, iy, iz), for scalar or array indices alike."""
-    corner = grid.corner
+    c, e = grid.center, grid.extent
     dx, dy, dz = grid.spacing
-    return corner.x + ix * dx, corner.y + iy * dy, corner.z + iz * dz
+    return c.x - e[0] / 2.0 + ix * dx, c.y - e[1] / 2.0 + iy * dy, c.z - e[2] / 2.0 + iz * dz
 
 
 def voxel_centers(grid: VoxelGrid) -> np.ndarray:
@@ -261,9 +256,6 @@ class ConstantPulse:
 
     def evaluate(self, freqs: np.ndarray) -> np.ndarray:
         return np.full(np.shape(freqs), self.value, dtype=np.complex128)
-
-    def covers(self, f_lo: float, f_hi: float) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -297,9 +289,6 @@ class TabulatedPulse:
         im = np.interp(f, knots, vals.imag)
         return re + 1j * im
 
-    def covers(self, f_lo: float, f_hi: float) -> bool:
-        return self.frequencies_hz[0] <= f_lo and self.frequencies_hz[-1] >= f_hi
-
 
 PulseSpectrum = ConstantPulse | TabulatedPulse
 
@@ -317,23 +306,31 @@ class ImagingScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "c", _real("speed of light", self.c, above=0))
-        if not self.pulse.covers(self.frequencies.f_start, self.frequencies.f_stop):
-            raise ValueError("tabulated pulse knots do not cover the frequency band")
+        pulse, fg = self.pulse, self.frequencies
+        if isinstance(pulse, TabulatedPulse):
+            if not pulse.frequencies_hz[0] <= fg.f_start <= fg.f_stop <= pulse.frequencies_hz[-1]:
+                raise ValueError("tabulated pulse knots do not cover the frequency band")
+        elif not isinstance(pulse, ConstantPulse):
+            raise ValueError(f"pulse must be a ConstantPulse or a TabulatedPulse, got {pulse!r}")
         # Fail fast on antenna/voxel coincidence so the element evaluation
-        # never has to branch on a vanishing denominator. A squared distance
-        # is a sum of three non-negative per-axis squares, so it is 0 exactly
-        # when each of them is: the check costs O(nx + ny + nz) per antenna,
-        # not O(N), and names the first flat voxel that is at distance 0.
-        axes = _axes(self.voxels)
+        # never has to branch on a vanishing denominator, and on a distance
+        # past the float range, which would make table entries NaN. A squared
+        # distance is a sum of three non-negative per-axis squares, so it is 0
+        # exactly when each of them is, and finite exactly when the sum of
+        # their maxima is: the checks cost O(nx + ny + nz) per antenna, not
+        # O(N), and name the first flat voxel that is at distance 0.
         ants = np.vstack([self.array.tx_positions(), self.array.rx_positions()])
-        for pos in ants:
-            hits = [np.flatnonzero((axis - p) ** 2 == 0.0) for axis, p in zip(axes, pos)]
-            if all(h.size for h in hits):
-                ix, iy, iz = (int(h[0]) for h in hits)
-                n = int(np.ravel_multi_index((iz, iy, ix), self.voxels.shape))
-                raise SingularityError(
-                    f"voxel {n} coincides with antenna at ({pos[0]}, {pos[1]}, {pos[2]})"
-                )
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            axes = _axes(self.voxels)
+            for x, y, z in ants:
+                squares = [(axis - p) ** 2 for axis, p in zip(axes, (x, y, z))]
+                if not math.isfinite(sum(float(sq.max()) for sq in squares)):
+                    raise ValueError(f"the distance from the antenna at ({x}, {y}, {z}) overflows")
+                hits = [np.flatnonzero(sq == 0.0) for sq in squares]
+                if all(h.size for h in hits):
+                    ix, iy, iz = (int(h[0]) for h in hits)
+                    n = int(np.ravel_multi_index((iz, iy, ix), self.voxels.shape))
+                    raise SingularityError(f"voxel {n} coincides with antenna at ({x}, {y}, {z})")
 
     @property
     def channel_shape(self) -> tuple[int, int, int]:
@@ -466,9 +463,6 @@ def _object(doc, keys: set[str], path: str) -> dict:
         if key not in doc:
             raise ValueError(f"missing key {prefix}{key}")
     return doc
-
-
-_INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
 def _json_integer(path: str, value) -> int:

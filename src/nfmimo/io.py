@@ -125,7 +125,7 @@ def _read(path, layout: struct.Struct, magic: bytes, what: str, count):
 def _voxel_count(dims) -> int:
     nx, ny, nz = dims
     if min(dims) < 1:
-        raise SchemaError(f"volume dims must be >= 1, got ({nx},{ny},{nz})")
+        raise FormatError(f"volume header dims must be >= 1, got ({nx},{ny},{nz})")
     return nx * ny * nz
 
 

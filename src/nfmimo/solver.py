@@ -337,7 +337,7 @@ def pgm_solve(
 def spgm_solve(
     y,
     scenario: ImagingScenario,
-    config: SolverConfig | None = None,
+    config: SolverConfig,
     progress=None,
 ) -> SolveReport:
     """Stochastic PGM: a fresh structured minibatch per iteration.
@@ -345,7 +345,6 @@ def spgm_solve(
     Deterministic for a fixed config.rng_seed. With the full composition the
     iterates coincide with pgm_solve exactly.
     """
-    config = config or SolverConfig()
     if config.composition is None:
         raise ValueError("spgm_solve requires config.composition")
     config.composition.validate_for(scenario)

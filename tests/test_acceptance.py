@@ -244,7 +244,6 @@ def test_criterion_07_speedup_trend(paper, study):
         MinibatchComposition(11, 16, 9),
     ]
     y = study["y"]
-    forward_apply(study["phantom"], paper)  # warm the operator tables
     iters = 12
     medians, walls, sizes = [], [], []
     for comp in compositions:

@@ -717,8 +717,47 @@ class TestExitCodes:
         assert repro.startswith("# nfmimo ")
         assert error.startswith(f"error: {key_path} must be ")
 
+    def test_voxel_count_past_the_largest_index_is_one_error_line(
+        self, small_files, tmp_path, capsys
+    ):
+        doc = json.loads(small_files["scenario"].read_text())
+        doc["voxels"]["dims"] = [3 * 10**6] * 3
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["info", "--scenario", str(bad)]) == 1
+        repro, error = capsys.readouterr().err.splitlines()
+        assert error.startswith("error: dims (3000000, 3000000, 3000000) hold more than ")
+
+    @pytest.mark.parametrize(
+        "command, call", [("info", "read_scenario"), ("simulate", "make_phantom")]
+    )
+    def test_refused_allocation_is_one_error_line(
+        self, small_files, tmp_path, capsys, monkeypatch, command, call
+    ):
+        # a stand-in for numpy's refusal: what a real huge allocation does
+        # depends on the host's overcommit policy
+        def refused(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array with shape (10**12,)")
+
+        monkeypatch.setattr(nfmimo.cli, call, refused)
+        argv = [command, "--scenario", str(small_files["scenario"])]
+        if command == "simulate":
+            argv += ["--phantom", "points:1", "--out", str(tmp_path / "m.nfms")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        repro, error = capsys.readouterr().err.splitlines()
+        assert repro.startswith("# nfmimo ")
+        assert error == "error: Unable to allocate 14.6 TiB for an array with shape (10**12,)"
+
     def test_info_requires_scenario_flag(self):
         assert main(["info"]) == 2
+
+    def test_list_flag_with_a_non_number_is_a_usage_error(self, tmp_path, capsys):
+        argv = ["scenario-init", "--custom", "--dims", "2,x,2", "--out", str(tmp_path / "s.json")]
+        assert main(argv) == 2
+        assert "invalid literal for int() with base 10: 'x'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, flag",

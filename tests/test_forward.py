@@ -150,9 +150,10 @@ class TestMaterializeDense:
             for n in range(tiny_scenario.n_voxels):
                 assert dense[m, n] == matrix_element(m, n, tiny_scenario)
 
-    def test_cap(self, small_scenario):
+    def test_cap(self):
+        # 1584 x 78141 entries, refused before anything is allocated
         with pytest.raises(DenseCapError):
-            materialize_dense(small_scenario, cap=10)
+            materialize_dense(preset_scenario("paper-v"))
 
 
 class TestForwardApply:
@@ -560,7 +561,7 @@ class TestSupportProducts:
         "support", [0, 1, 5, 16, 17, 256], ids=["zero", "one", "few", "cut", "cut+1", "dense"]
     )
     @pytest.mark.parametrize("channels", ["full", "minibatch", "ragged"])
-    # threads has no effect; its cases go with the keyword (ROADMAP item 2)
+    # threads has no effect; its cases go with the keyword (ROADMAP item 1)
     @pytest.mark.parametrize("threads", [1, 2])
     def test_same_bits_as_whole_rows(self, support, channels, threads):
         scn = sparse_scenario()
@@ -674,7 +675,7 @@ class TestBlasThreadCount:
 
     @pytest.mark.xfail(
         strict=False,
-        reason="ROADMAP item 2: OpenBLAS splits the forward's length-N dots across its threads",
+        reason="ROADMAP item 3: OpenBLAS splits the forward's length-N dots across its threads",
     )
     @pytest.mark.parametrize("name", ["forward.sparse", "forward.full", "forward.443"])
     def test_forward_has_the_same_bytes(self, digests_by_blas_threads, name):
@@ -991,6 +992,9 @@ class TestDomainTypes:
             vals[1] = bad
             with pytest.raises(ValueError, match="finite"):
                 MeasurementSet.for_scenario(vals, tiny_scenario)
+        named = r"^measurement values must be 1-D, got shape \(2, 2\)$"
+        with pytest.raises(ValueError, match=named):
+            MeasurementSet(np.zeros((2, 2), dtype=complex), bytes(32))
 
 
     @pytest.mark.parametrize("fingerprint", ["0" * 32, [0] * 32], ids=["str", "list"])

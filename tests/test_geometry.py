@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,14 @@ class TestArrayGeometry:
                 receivers=(Vec3(0.1, 0, 0),),
             )
 
+    @pytest.mark.parametrize("name", ["transmitters", "receivers"])
+    def test_rejects_a_point_that_is_not_a_vec3(self, name):
+        points = {"transmitters": (Vec3(0, 0, 0),), "receivers": (Vec3(0.1, 0, 0),)}
+        points[name] = (Vec3(0.2, 0, 0), (0.3, 0.0, 0.0))
+        named = rf"^{name} must hold Vec3 points, got \(0.3, 0.0, 0.0\)$"
+        with pytest.raises(ValueError, match=named):
+            ArrayGeometry(**points)
+
 
 class TestFrequencyGrid:
     def test_paper_band_spacing_and_endpoints(self):
@@ -65,7 +74,9 @@ class TestFrequencyGrid:
             FrequencyGrid(5e9, 6e9, 1)
 
     @pytest.mark.parametrize(
-        "args", [(0.0, 1e9, 2), (-1e9, 1e9, 2), (2e9, 1e9, 2), (1e9, 2e9, 0), (4e9, 16e9, 2.7)]
+        "args",
+        [(0.0, 1e9, 2), (-1e9, 1e9, 2), (2e9, 1e9, 2), (1e9, 2e9, 0), (4e9, 16e9, 2.7),
+         (5e9, 5e9, 2)],
     )
     def test_invalid_grids(self, args):
         with pytest.raises(ValueError):
@@ -103,6 +114,24 @@ class TestVoxelGrid:
     def test_fractional_dims_refused(self):
         with pytest.raises(ValueError, match=r"dims\[0\] must be a whole number"):
             VoxelGrid(center=Vec3(0, 0, 0), extent=(0.1, 0.1, 0.0), dims=(3.9, 3, 1))
+
+    def test_center_must_be_a_vec3(self):
+        with pytest.raises(ValueError, match=r"^center must be a Vec3, got \(0, 0, 0.5\)$"):
+            VoxelGrid(center=(0, 0, 0.5), extent=(0.1, 0.1, 0.0), dims=(3, 3, 1))
+
+    @pytest.mark.parametrize(
+        "dims, fits",
+        [((3_000_000,) * 3, False), ((2**21,) * 3, False), ((2**21, 2**21, 2**21 - 1), True)],
+        ids=["3e6-per-axis", "2^63", "2^63-2^42"],
+    )
+    def test_voxel_count_is_one_numpy_can_index(self, dims, fits):
+        # building a grid allocates nothing per voxel, so these sizes are safe
+        build = lambda: VoxelGrid(center=Vec3(0, 0, 0.5), extent=(0.3, 0.3, 0.1), dims=dims)
+        if fits:
+            assert build().n_voxels == math.prod(dims)
+        else:
+            with pytest.raises(ValueError, match=rf"^dims \({dims[0]}, .* voxels"):
+                build()
 
     def test_exhaustive_flat_numbering_round_trip_at_paper_size(self):
         nx, ny, nz = PAPER_GRID.dims
@@ -264,6 +293,21 @@ class TestPulseSpectrum:
         with pytest.raises(ValueError):
             TabulatedPulse(frequencies_hz=(2e9, 1e9), values=(1 + 0j, 1 + 0j))
 
+    @pytest.mark.parametrize(
+        "knots, values, message",
+        [((1e9, 2e9), (1 + 0j,), "frequencies_hz and values must have equal length"),
+         ((), (), "tabulated pulse needs at least one knot")],
+        ids=["length-mismatch", "no-knots"],
+    )
+    def test_tabulated_needs_one_value_per_knot(self, knots, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TabulatedPulse(frequencies_hz=knots, values=values)
+
+    @pytest.mark.parametrize("bad", ["1", None, True], ids=["string", "none", "bool"])
+    def test_pulse_value_must_be_a_number(self, bad):
+        with pytest.raises(ValueError, match="^pulse value must be a number"):
+            ConstantPulse(bad)
+
     @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)])
     def test_tabulated_values_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -272,6 +316,37 @@ class TestPulseSpectrum:
     def test_scenario_rejects_uncovered_band(self):
         pulse = TabulatedPulse(frequencies_hz=(5e9, 6e9), values=(1 + 0j, 1 + 0j))
         with pytest.raises(ValueError, match="cover"):
+            ImagingScenario(
+                array=make_spiral_array(1, 1, 0.1),
+                frequencies=FrequencyGrid(4e9, 8e9, 3),
+                voxels=VoxelGrid(center=Vec3(0, 0, 0.3), extent=(0, 0, 0), dims=(1, 1, 1)),
+                pulse=pulse,
+            )
+
+    @pytest.mark.parametrize(
+        "knots, covered",
+        [((4e9, 7e9), False), ((5e9, 8e9), False), ((4e9, 8e9), True), ((1e9, 9e9), True)],
+        ids=["low-end", "high-end", "exact", "wider"],
+    )
+    def test_scenario_needs_the_knots_to_cover_both_ends(self, knots, covered):
+        pulse = TabulatedPulse(frequencies_hz=knots, values=(1 + 0j, 1 + 0j))
+        build = lambda: ImagingScenario(
+            array=make_spiral_array(1, 1, 0.1),
+            frequencies=FrequencyGrid(4e9, 8e9, 3),
+            voxels=VoxelGrid(center=Vec3(0, 0, 0.3), extent=(0, 0, 0), dims=(1, 1, 1)),
+            pulse=pulse,
+        )
+        if covered:
+            assert build().pulse == pulse
+        else:
+            with pytest.raises(ValueError, match="^tabulated pulse knots do not cover"):
+                build()
+
+    @pytest.mark.parametrize(
+        "pulse", [1.0 + 0j, None, (1e9, 2e9)], ids=["complex", "none", "tuple"]
+    )
+    def test_scenario_refuses_a_pulse_of_neither_type(self, pulse):
+        with pytest.raises(ValueError, match="^pulse must be a ConstantPulse or a TabulatedPulse"):
             ImagingScenario(
                 array=make_spiral_array(1, 1, 0.1),
                 frequencies=FrequencyGrid(4e9, 8e9, 3),
@@ -395,6 +470,26 @@ class TestImagingScenario:
         ix, iy = (min(i, d - 1) for i, d in zip(node, dims))
         x, y, _ = _node(grid, ix, iy, 0)
         _check_agrees(grid, [Vec3(x + 0.01 * offset[0], y + 0.01 * offset[1], 0.0)], [FAR])
+
+    @pytest.mark.parametrize(
+        "antenna_x, center, extent",
+        [
+            (1.35e154, (0.0, 0.0, 0.5), (0.3, 0.3, 0.1)),  # the square overflows
+            (0.0, (1.7e308, 0.0, 0.5), (0.3, 0.3, 0.1)),
+            (0.0, (-1.7e308, 0.0, 0.5), (1.7e308, 0.3, 0.1)),  # the axis overflows
+        ],
+        ids=["far-antenna", "far-voxels", "huge-extent"],
+    )
+    def test_distance_past_the_float_range_refused(self, antenna_x, center, extent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            named = r"^the distance from the antenna at \(.*\) overflows$"
+            with pytest.raises(ValueError, match=named):
+                ImagingScenario(
+                    array=ArrayGeometry(transmitters=(Vec3(antenna_x, 0, 0),), receivers=(FAR,)),
+                    frequencies=FrequencyGrid(1e9, 1e9, 1),
+                    voxels=VoxelGrid(center=Vec3(*center), extent=extent, dims=(3, 3, 2)),
+                )
 
     def test_fingerprint_is_stable_and_sensitive(self):
         a = preset_scenario("paper-v")

@@ -38,6 +38,7 @@ from nfmimo.io import (
     write_scenario,
     write_volume,
 )
+from nfmimo.geometry import dumps_canonical, scenario_bytes
 from conftest import random_complex
 
 
@@ -103,6 +104,16 @@ class TestVolumeFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError):
             read_volume(path)
+
+    def test_zero_dim_in_the_header_is_a_format_error(self, tmp_path):
+        # no payload for 0 voxels, so the checksum is 0; this is a volume
+        # header fault, not a scenario document's SchemaError
+        path = tmp_path / "v.nfmv"
+        path.write_bytes(struct.pack("<4sHIII", b"NFMV", 1, 2, 0, 2) + struct.pack("<Q", 0))
+        named = r"^volume header dims must be >= 1, got \(2,0,2\)$"
+        with pytest.raises(FormatError, match=named) as info:
+            read_volume(path)
+        assert not isinstance(info.value, SchemaError)
 
 
 class TestMeasurementFile:
@@ -402,8 +413,10 @@ class TestScenarioJson:
             ("voxels.center[2]", ("voxels", "center", 2)),
             ("voxels.extent[0]", ("voxels", "extent", 0)),
             ("speed_of_light", ("speed_of_light",)),
+            ("frequencies.count", ("frequencies", "count")),
+            ("voxels.dims[1]", ("voxels", "dims", 1)),
         ],
-        ids=["antenna", "pulse-knot", "center", "extent", "speed-of-light"],
+        ids=["antenna", "pulse-knot", "center", "extent", "speed-of-light", "count", "dims"],
     )
     def test_number_leaf_must_be_a_json_number(self, tmp_path, key_path, pointer, bad):
         path = _scenario_file(tmp_path, _tabulated_scenario(), pointer, bad)
@@ -440,6 +453,32 @@ class TestScenarioJson:
     def test_large_indexable_sizes_still_read(self, tmp_path, pointer, value, attr, expected):
         path = _scenario_file(tmp_path, preset_scenario("paper-v"), pointer, value)
         assert getattr(read_scenario(path), attr) == expected
+
+    def test_voxel_count_past_the_largest_index_is_schema_error(self, tmp_path):
+        dims = [3 * 10**6] * 3
+        path = _scenario_file(tmp_path, preset_scenario("paper-v"), ("voxels", "dims"), dims)
+        with pytest.raises(SchemaError, match=r"^dims \(3000000, 3000000, 3000000\) hold more than"):
+            read_scenario(path)
+
+    @pytest.mark.parametrize(
+        "pointer, value, message",
+        [
+            (("voxels", "center"), [0, 0], "voxels.center must be a list of 3 numbers"),
+            (("voxels", "dims"), 3, "voxels.dims must be a list of 3 numbers"),
+            (("pulse", "frequencies_hz"), 1e9, "pulse.frequencies_hz must be a list of numbers"),
+            (("pulse", "values"), {"re": 1}, "pulse.values must be a list of [re, im] pairs"),
+            (("pulse", "values", 0), [1.0], "pulse.values[0] must be a list of 2 numbers"),
+            (("transmitters",), [], "transmitters must be a non-empty list of [x, y, z] positions"),
+            (("receivers",), "rx", "receivers must be a non-empty list of [x, y, z] positions"),
+            (("transmitters", 0), [0.02, 0], "transmitters[0] must be a list of 3 numbers"),
+        ],
+        ids=["center-length", "dims-scalar", "knots-scalar", "values-object", "value-pair",
+             "no-transmitters", "receivers-string", "antenna-length"],
+    )
+    def test_malformed_list_is_named(self, tmp_path, pointer, value, message):
+        path = _scenario_file(tmp_path, _tabulated_scenario(), pointer, value)
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            read_scenario(path)
 
     def test_integer_past_the_digit_limit_is_schema_error(self, tmp_path):
         # json.loads refuses an integer of more than 4300 digits with a ValueError
@@ -593,6 +632,11 @@ class TestOneSerialization:
         assert second.read_bytes() == first.read_bytes()
         assert hashlib.sha256(first.read_bytes()).digest() == scenario_fingerprint(scn)
 
+    @pytest.mark.parametrize("value", [{1, 2}, 1j, b"x"], ids=["set", "complex", "bytes"])
+    def test_canonical_text_refuses_other_types(self, value):
+        with pytest.raises(TypeError, match=f"^cannot serialize {type(value).__name__}$"):
+            dumps_canonical({"key": [value]})
+
     def test_multi_line_file_of_earlier_versions_still_pairs(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(_MULTI_LINE_FILE)
@@ -603,6 +647,92 @@ class TestOneSerialization:
         assert scenario_fingerprint(scn).hex() == pinned
         write_scenario(scn, tmp_path / "new.json")
         assert hashlib.sha256((tmp_path / "new.json").read_bytes()).hexdigest() == pinned
+
+
+_PAPER_DOCUMENT = scenario_bytes(preset_scenario("paper-v")).decode()
+_NESTED = "@nested@"  # a string leaf that _mutants swaps for deep nesting
+
+
+def _paths(node, path=()):
+    """Every node's path in a decoded JSON document, the root's first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _paths(child, (*path, key))
+
+
+# Every integer drawn is at most 64 in size or at least 2**63: the first
+# allocates nothing worth measuring when it is a count or a dim, and the
+# second is past numpy's index range and must be refused before any
+# allocation.
+_integers = st.one_of(
+    st.integers(-64, 64), st.integers(2**63, 10**400), st.integers(-(10**400), -(2**63))
+)
+_leaves = st.one_of(
+    _integers,
+    st.floats(),  # NaN and Infinity included: json writes them as bare literals
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.just(_NESTED),
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutants(draw):
+    """The paper-v scenario document as text, after one to three mutations:
+    a node replaced, a key removed or a key added."""
+    doc = json.loads(_PAPER_DOCUMENT)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(_values)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        how = draw(st.sampled_from(["replace", "remove", "add"]))
+        if how == "replace" or not isinstance(parent, dict):
+            parent[path[-1]] = value
+        elif how == "remove":
+            del parent[path[-1]]
+        else:
+            parent[draw(st.text(max_size=8))] = value
+    depth = draw(st.sampled_from([1, 64, 5000]))
+    return json.dumps(doc).replace(f'"{_NESTED}"', "[" * depth + "0" + "]" * depth)
+
+
+class TestScenarioFuzz:
+    """Any malformed scenario file is refused as a SchemaError and nothing
+    else; a mutant that still describes a scenario reads."""
+
+    @settings(
+        max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(text=_mutants())
+    def test_mutated_paper_document_reads_or_is_a_schema_error(self, tmp_path, text):
+        path = tmp_path / "scn.json"
+        path.write_text(text)
+        try:
+            read_scenario(path)
+        except SchemaError:
+            pass
+
+    def test_distance_past_the_float_range_is_schema_error(self, tmp_path):
+        # the fuzz's first find: the squared distance overflowed with numpy's
+        # RuntimeWarning, and the scenario read with infinite distances
+        pointer = ("transmitters", 3, 0)
+        path = _scenario_file(tmp_path, preset_scenario("paper-v"), pointer, 1.35e154)
+        with pytest.raises(SchemaError, match=r"^the distance from the antenna at \(1.35e\+154, "):
+            read_scenario(path)
 
 
 class TestSlicesCsv:

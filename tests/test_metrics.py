@@ -209,6 +209,10 @@ class TestSpearman:
         with pytest.raises(ValueError):
             spearman_rank([1.0], [2.0])
 
+    def test_constant_input_has_no_rank_order(self):
+        # every rank ties, so the correlation's denominator is 0
+        assert spearman_rank([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+
     @pytest.mark.parametrize(
         "x", [[np.nan] * 4, [1, np.nan, 3, 4], [1, 2, np.inf, 4]], ids=["all-nan", "nan", "inf"]
     )

@@ -465,6 +465,11 @@ class TestLipschitzEstimate:
         got = lipschitz_estimate(small_scenario, n_iters=500, tol=1e-13)
         assert got == pytest.approx(expect, rel=1e-6)
 
+    def test_zero_operator_has_zero_constant(self, tiny_scenario):
+        # a zero pulse zeroes every entry, so the first A^H A x is 0
+        silent = dataclasses.replace(tiny_scenario, pulse=ConstantPulse(0))
+        assert lipschitz_estimate(silent, n_iters=5) == 0.0
+
     @pytest.mark.parametrize("n_iters", [0, 2.5])
     def test_n_iters_must_be_a_count(self, tiny_scenario, n_iters):
         # 0 used to return an estimate of 0.0 and 2.5 a bare TypeError
