@@ -20,14 +20,11 @@ import numpy as np
 from . import __version__
 from .forward import forward_apply, simulate_measurements
 from .geometry import (
-    FrequencyGrid,
-    ImagingScenario,
-    Vec3,
-    VoxelGrid,
+    _PAPER_V,
     _count,
     _real,
+    _spiral_scenario,
     dumps_canonical,
-    make_spiral_array,
     preset_scenario,
     scenario_fingerprint,
 )
@@ -99,16 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--preset", choices=["paper-v"], help="named preset scenario")
     mode.add_argument("--custom", action="store_true", help="build a scenario from the flags below")
-    p.add_argument("--tx", type=int, default=16, help="transmitter count (custom)")
-    p.add_argument("--rx", type=int, default=9, help="receiver count (custom)")
-    p.add_argument("--radius", type=float, default=0.25, help="spiral array radius, m (custom)")
-    p.add_argument("--array-seed", type=int, default=7, help="spiral layout seed (custom)")
-    p.add_argument("--f-start", type=float, default=4e9, help="sweep start, Hz (custom)")
-    p.add_argument("--f-stop", type=float, default=16e9, help="sweep stop, Hz (custom)")
-    p.add_argument("--f-count", type=int, default=11, help="frequency count (custom)")
-    p.add_argument("--center", type=_FLOAT_TRIPLE, default=(0.0, 0.0, 0.5), help="scene center x,y,z m (custom)")
+    # every default but --extent's is paper-v's value; absent, --extent is
+    # paper-v's scene collapsed on single-voxel axes
+    p.add_argument("--tx", type=int, default=_PAPER_V["tx"], help="transmitter count (custom)")
+    p.add_argument("--rx", type=int, default=_PAPER_V["rx"], help="receiver count (custom)")
+    p.add_argument("--radius", type=float, default=_PAPER_V["radius"], help="spiral array radius, m (custom)")
+    p.add_argument("--array-seed", type=int, default=_PAPER_V["array_seed"], help="spiral layout seed (custom)")
+    p.add_argument("--f-start", type=float, default=_PAPER_V["f_start"], help="sweep start, Hz (custom)")
+    p.add_argument("--f-stop", type=float, default=_PAPER_V["f_stop"], help="sweep stop, Hz (custom)")
+    p.add_argument("--f-count", type=int, default=_PAPER_V["f_count"], help="frequency count (custom)")
+    p.add_argument("--center", type=_FLOAT_TRIPLE, default=_PAPER_V["center"], help="scene center x,y,z m (custom)")
     p.add_argument("--extent", type=_FLOAT_TRIPLE, default=None, help="scene extent Lx,Ly,Lz m (custom)")
-    p.add_argument("--dims", type=_INT_TRIPLE, default=(61, 61, 21), help="voxel counts nx,ny,nz (custom)")
+    p.add_argument("--dims", type=_INT_TRIPLE, default=_PAPER_V["dims"], help="voxel counts nx,ny,nz (custom)")
     p.add_argument("--out", required=True, help="output scenario JSON path")
     p.set_defaults(handler=_cmd_scenario_init)
 
@@ -185,16 +184,7 @@ def _cmd_scenario_init(args) -> int:
     if args.preset:
         scenario = preset_scenario(args.preset)
     else:
-        extent = args.extent
-        if extent is None:
-            # default scene, collapsed on single-voxel axes
-            base = (0.3, 0.3, 0.1)
-            extent = tuple(0.0 if d == 1 else e for e, d in zip(base, args.dims))
-        scenario = ImagingScenario(
-            array=make_spiral_array(args.tx, args.rx, args.radius, rng_seed=args.array_seed),
-            frequencies=FrequencyGrid(args.f_start, args.f_stop, args.f_count),
-            voxels=VoxelGrid(center=Vec3(*args.center), extent=extent, dims=args.dims),
-        )
+        scenario = _spiral_scenario(**{key: getattr(args, key) for key in _PAPER_V})
     write_scenario(scenario, args.out)
     print(
         f"wrote {args.out}: M={scenario.n_channels} N={scenario.n_voxels} "
@@ -336,7 +326,7 @@ def _cmd_benchmark(args) -> int:
     for rec in records:
         comp = f"({rec.composition.n_f},{rec.composition.n_tx},{rec.composition.n_rx})"
         print(
-            f"{comp:>14} {rec.batch_size:>6} {rec.seed:>6} {rec.iterations:>6} "
+            f"{comp:>14} {rec.composition.batch_size:>6} {rec.seed:>6} {rec.iterations:>6} "
             f"{rec.runtime_s:>10.3f} {rec.psnr_db:>9.12g}"
         )
     print(f"wrote {args.out} ({len(records)} records)")

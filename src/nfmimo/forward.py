@@ -88,13 +88,17 @@ class DenseCapError(RuntimeError):
 
 
 class PlanTooLargeError(ValueError):
-    """The operator plan would not fit in the memory the OS reports available."""
+    """The operator plan, or another array sized by the scenario, would not fit
+    in the memory the OS reports available."""
 
 
 def _complex_vector(what: str, values, size: int | None = None) -> np.ndarray:
     """``values`` as a finite 1-D complex array, of ``size`` entries when given;
     an error calls them ``what`` values."""
-    vals = np.asarray(values, dtype=np.complex128)
+    try:
+        vals = np.asarray(values, dtype=np.complex128)
+    except OverflowError:
+        raise ValueError(f"{what} values must be finite, got an integer too large for a float") from None
     if size is None and vals.ndim != 1:
         raise ValueError(f"{what} values must be 1-D, got shape {vals.shape}")
     if size is not None and vals.shape != (size,):
@@ -113,10 +117,6 @@ class ReflectivityVolume:
 
     def __post_init__(self):
         self.values = _complex_vector("voxel", self.values, self.grid.n_voxels)
-
-    @classmethod
-    def zeros(cls, grid: VoxelGrid) -> "ReflectivityVolume":
-        return cls(np.zeros(grid.n_voxels, dtype=np.complex128), grid)
 
 
 def _normalized_magnitude(volume: ReflectivityVolume) -> np.ndarray:
@@ -146,10 +146,6 @@ class MeasurementSet:
             self.values.size == scenario.n_channels
             and self.fingerprint == scenario_fingerprint(scenario)
         )
-
-    @classmethod
-    def for_scenario(cls, values, scenario: ImagingScenario) -> "MeasurementSet":
-        return cls(values, scenario_fingerprint(scenario))
 
 
 @dataclass(eq=False)
@@ -310,6 +306,17 @@ def _available_bytes() -> int | None:
     return None
 
 
+def _check_available(what: str, need: int) -> None:
+    """Refuse, before it is allocated, ``need`` bytes for ``what`` beyond the
+    memory the OS reports available; nothing is refused where it cannot be read."""
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise PlanTooLargeError(
+            f"{what} needs {need / 1e9:.3g} GB, but only "
+            f"{available / 1e9:.3g} GB of memory is available"
+        )
+
+
 def _plan(scenario: ImagingScenario) -> _OperatorPlan:
     global _slot
     # one lock around the lookup, the eviction and the build: a second thread
@@ -319,12 +326,7 @@ def _plan(scenario: ImagingScenario) -> _OperatorPlan:
         if plan is None:
             # free the old plan before the new one is sized and allocated
             _slot = None
-            need, available = _plan_nbytes(scenario), _available_bytes()
-            if available is not None and need > available:
-                raise PlanTooLargeError(
-                    f"the operator plan needs {need / 1e9:.3g} GB, but only "
-                    f"{available / 1e9:.3g} GB of memory is available"
-                )
+            _check_available("the operator plan", _plan_nbytes(scenario))
             plan = _build(scenario, np.arange(scenario.n_voxels))
             _slot = (scenario, plan)
         return plan
@@ -506,4 +508,4 @@ def simulate_measurements(
         rng = np.random.default_rng(rng_seed)
         noise = rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
         y = y + (sigma / math.sqrt(2.0)) * noise
-    return MeasurementSet.for_scenario(y, scenario)
+    return MeasurementSet(y, scenario_fingerprint(scenario))

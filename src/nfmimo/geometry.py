@@ -90,7 +90,10 @@ def _complex(name: str, value) -> complex:
     """``value`` as a complex number with finite real and imaginary parts."""
     if isinstance(value, bool) or not isinstance(value, numbers.Complex):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    v = complex(value)
+    try:
+        v = complex(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise ValueError(f"{name} must be finite, got {v!r}")
     return v
@@ -312,25 +315,43 @@ class ImagingScenario:
                 raise ValueError("tabulated pulse knots do not cover the frequency band")
         elif not isinstance(pulse, ConstantPulse):
             raise ValueError(f"pulse must be a ConstantPulse or a TabulatedPulse, got {pulse!r}")
+        # the axes, one antenna's squares and a temporary, 8 bytes each per
+        # entry, are refused before they are allocated if they cannot fit
+        from .forward import _check_available  # not at the top: forward imports this module
+
+        _check_available("checking the voxel axes", 24 * sum(self.voxels.dims))
         # Fail fast on antenna/voxel coincidence so the element evaluation
-        # never has to branch on a vanishing denominator, and on a distance
-        # past the float range, which would make table entries NaN. A squared
-        # distance is a sum of three non-negative per-axis squares, so it is 0
-        # exactly when each of them is, and finite exactly when the sum of
-        # their maxima is: the checks cost O(nx + ny + nz) per antenna, not
+        # never has to branch on a vanishing denominator, and on a distance or
+        # a phase past the float range, which would make table entries NaN. A
+        # squared distance is a sum of three non-negative per-axis squares, so
+        # it is 0 exactly when each of them is, and its largest value is the
+        # sum of their maxima: the checks cost O(nx + ny + nz) per antenna, not
         # O(N), and name the first flat voxel that is at distance 0.
         ants = np.vstack([self.array.tx_positions(), self.array.rx_positions()])
+        farthest = []  # each antenna's largest squared distance
         with np.errstate(over="ignore"):  # an overflow is refused below
             axes = _axes(self.voxels)
             for x, y, z in ants:
                 squares = [(axis - p) ** 2 for axis, p in zip(axes, (x, y, z))]
-                if not math.isfinite(sum(float(sq.max()) for sq in squares)):
+                farthest.append(sum(float(sq.max()) for sq in squares))
+                if not math.isfinite(farthest[-1]):
                     raise ValueError(f"the distance from the antenna at ({x}, {y}, {z}) overflows")
                 hits = [np.flatnonzero(sq == 0.0) for sq in squares]
                 if all(h.size for h in hits):
                     ix, iy, iz = (int(h[0]) for h in hits)
                     n = int(np.ravel_multi_index((iz, iy, ix), self.voxels.shape))
                     raise SingularityError(f"voxel {n} coincides with antenna at ({x}, {y}, {z})")
+        # the largest phases the operator forms, each as it forms them: a
+        # table's w_f * d (forward._tables) and an element's (2 pi / c) * f *
+        # (dT + dR) (forward._element_row)
+        n_tx, f_max = self.array.n_tx, fg.f_stop
+        d_tx, d_rx = math.sqrt(max(farthest[:n_tx])), math.sqrt(max(farthest[n_tx:]))
+        table = 2.0 * math.pi * f_max / self.c * max(d_tx, d_rx)
+        element = 2.0 * math.pi / self.c * f_max * (d_tx + d_rx)
+        if not math.isfinite(max(table, element)):
+            raise ValueError(
+                f"the phase 2*pi*f*d/c overflows at f={f_max:g} Hz and speed of light {self.c:g}"
+            )
 
     @property
     def channel_shape(self) -> tuple[int, int, int]:
@@ -541,7 +562,30 @@ def document_to_scenario(doc) -> ImagingScenario:
 
 # --- presets ---------------------------------------------------------------
 
-_DESK_ARRAY_SEED = 7  # fixes the stand-in spiral layout of the paper-v preset
+# The paper-v values, stated once. The keys are ``scenario-init --custom``'s
+# flag names and each flag takes its default from here, so each value keeps
+# the type its flag parses into. The array seed fixes the stand-in spiral
+# layout.
+_PAPER_V = {
+    "tx": 16, "rx": 9, "radius": 0.25, "array_seed": 7,
+    "f_start": 4e9, "f_stop": 16e9, "f_count": 11,
+    "center": (0.0, 0.0, 0.5), "extent": (0.3, 0.3, 0.1), "dims": (61, 61, 21),
+}
+
+
+def _spiral_scenario(
+    *, tx, rx, radius, array_seed, f_start, f_stop, f_count, center, extent, dims
+) -> ImagingScenario:
+    """A spiral-array scenario with a flat unit pulse; the paper-v preset and
+    ``scenario-init --custom`` are both built here. ``extent`` None is
+    paper-v's scene extent, collapsed to 0 on single-voxel axes."""
+    if extent is None:
+        extent = tuple(0.0 if d == 1 else e for e, d in zip(_PAPER_V["extent"], dims))
+    return ImagingScenario(
+        array=make_spiral_array(tx, rx, radius, rng_seed=array_seed),
+        frequencies=FrequencyGrid(f_start, f_stop, f_count),
+        voxels=VoxelGrid(center=Vec3(*center), extent=extent, dims=dims),
+    )
 
 
 def preset_scenario(name: str) -> ImagingScenario:
@@ -552,9 +596,5 @@ def preset_scenario(name: str) -> ImagingScenario:
     sampled every 0.5 cm (61x61x21 voxels), flat unit pulse spectrum.
     """
     if name == "paper-v":
-        return ImagingScenario(
-            array=make_spiral_array(16, 9, 0.25, rng_seed=_DESK_ARRAY_SEED),
-            frequencies=FrequencyGrid(4.0e9, 16.0e9, 11),
-            voxels=VoxelGrid(center=Vec3(0.0, 0.0, 0.5), extent=(0.3, 0.3, 0.1), dims=(61, 61, 21)),
-        )
+        return _spiral_scenario(**_PAPER_V)
     raise ValueError(f"unknown preset {name!r} (available: paper-v)")

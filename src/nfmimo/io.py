@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .forward import MeasurementSet, ReflectivityVolume, _normalized_magnitude
-from .geometry import ImagingScenario, Vec3, VoxelGrid, document_to_scenario, scenario_bytes
+from .geometry import ImagingScenario, Vec3, VoxelGrid, _format_number, document_to_scenario, scenario_bytes
 
 __all__ = [
     "FormatError",
@@ -209,10 +209,7 @@ def export_slices_csv(volume: ReflectivityVolume, path_prefix) -> list[Path]:
     paths = []
     for k, plane in enumerate(mag):
         out = Path(f"{prefix}_z{k}.csv")
-        lines = [
-            ",".join(format(v, ".17g") for v in row)
-            for row in plane
-        ]
+        lines = [",".join(_format_number(v) for v in row) for row in plane]
         out.write_text("\n".join(lines) + "\n")
         paths.append(out)
     return paths

@@ -70,10 +70,6 @@ class SweepRecord:
     runtime_s: float
     psnr_db: float
 
-    @property
-    def batch_size(self) -> int:
-        return self.composition.batch_size
-
 
 def run_sweep(
     y,
@@ -132,7 +128,7 @@ def write_sweep_csv(records: list[SweepRecord], path) -> None:
                     rec.composition.n_f,
                     rec.composition.n_tx,
                     rec.composition.n_rx,
-                    rec.batch_size,
+                    rec.composition.batch_size,
                     rec.seed,
                     rec.iterations,
                     _format_number(rec.runtime_s),

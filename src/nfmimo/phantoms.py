@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import ReflectivityVolume
+from .forward import ReflectivityVolume, _check_available
 from .geometry import VoxelGrid, _count
 
 __all__ = ["make_phantom"]
@@ -42,6 +42,7 @@ def _lines(grid: VoxelGrid, cross: bool) -> np.ndarray:
 def make_phantom(spec: str, grid: VoxelGrid, rng_seed: int = 0) -> ReflectivityVolume:
     """Build the reflectivity volume described by ``spec`` on ``grid``."""
     rng_seed = _count("rng_seed", rng_seed, minimum=0)
+    _check_available("the phantom", 16 * grid.n_voxels)  # N complex values
     spec = spec.strip()
     if spec.startswith("points:"):
         text = spec.split(":", 1)[1]

@@ -208,15 +208,15 @@ def gradient(s, y, scenario: ImagingScenario, subset=None) -> np.ndarray:
 def sample_minibatch(
     composition: MinibatchComposition, scenario: ImagingScenario, rng
 ) -> ChannelSubset:
-    """Draw the Cartesian-product minibatch for one iteration.
+    """Draw the Cartesian-product minibatch for one iteration from the numpy
+    Generator ``rng``.
 
     Each axis is sampled uniformly without replacement and sorted, so the
-    full composition reproduces all M channels in canonical order. ``rng`` is
-    a numpy Generator or a whole-number seed >= 0.
+    full composition reproduces all M channels in canonical order.
     """
     composition.validate_for(scenario)
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(_count("rng", rng, minimum=0))
+        raise ValueError(f"rng must be a numpy Generator, got {rng!r}")
     n_f, n_tx, n_rx = scenario.channel_shape
     fs = np.sort(rng.choice(n_f, composition.n_f, replace=False))
     ts = np.sort(rng.choice(n_tx, composition.n_tx, replace=False))
@@ -320,12 +320,11 @@ def _solve(
 def pgm_solve(
     y,
     scenario: ImagingScenario,
-    config: SolverConfig | None = None,
+    config: SolverConfig,
     progress=None,
 ) -> SolveReport:
     """Full-batch proximal gradient iterations
     s <- soft_threshold(s - eta * grad D(s), alpha), starting from zero."""
-    config = config or SolverConfig()
     if config.composition is not None:
         raise ValueError(
             "pgm_solve needs a full-batch config (composition=None); use spgm_solve "

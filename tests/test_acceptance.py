@@ -69,7 +69,10 @@ def paper():
 @pytest.fixture(scope="module")
 def study(paper):
     """Shared artifacts for criteria 6 and 8: 5-point phantom, 30 dB SNR
-    measurements, converged full-batch reference, and three seeded SPGM runs."""
+    measurements, converged full-batch reference, three seeded SPGM runs and,
+    right after each, a PGM run truncated at that run's wall time. Timing the
+    two sides back to back keeps a change in host load between them from
+    moving criterion 8's margin."""
     phantom = make_phantom("points:5", paper.voxels, rng_seed=42)
     clean = forward_apply(phantom, paper)
     sigma = float(np.sqrt(np.mean(np.abs(clean) ** 2) * 10 ** (-30 / 10)))
@@ -82,8 +85,9 @@ def study(paper):
     t_reference = time.perf_counter() - t0
 
     spgm_runs = []
-    t0 = time.perf_counter()
+    t_spgm = t_truncated = 0.0
     for seed in (1, 2, 3):
+        t0 = time.perf_counter()
         report = spgm_solve(
             y.values,
             paper,
@@ -93,8 +97,18 @@ def study(paper):
             ),
         )
         psnr = psnr_vs_reference(report.volume, reference.volume).psnr_db
-        spgm_runs.append({"seed": seed, "report": report, "psnr_db": psnr})
-    t_spgm = time.perf_counter() - t0
+        t_spgm += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        truncated = pgm_solve(
+            y.values,
+            paper,
+            SolverConfig(
+                eta=1e-3, alpha=4e-5, tol=1e-30, max_iters=100_000,
+                time_budget_s=report.wall_time_s,
+            ),
+        )
+        t_truncated += time.perf_counter() - t0
+        spgm_runs.append({"seed": seed, "report": report, "psnr_db": psnr, "truncated": truncated})
 
     return {
         "phantom": phantom,
@@ -103,6 +117,7 @@ def study(paper):
         "t_reference": t_reference,
         "spgm_runs": spgm_runs,
         "t_spgm": t_spgm,
+        "t_truncated": t_truncated,
     }
 
 
@@ -267,27 +282,19 @@ def test_criterion_07_speedup_trend(paper, study):
     )
 
 
-def test_criterion_08_time_budget_comparison(paper, study):
+def test_criterion_08_time_budget_comparison(study):
     t0 = time.perf_counter()
     reference = study["reference"]
     outcomes = []
     for run in study["spgm_runs"]:
-        budget = run["report"].wall_time_s
-        truncated = pgm_solve(
-            study["y"].values,
-            paper,
-            SolverConfig(
-                eta=1e-3, alpha=4e-5, tol=1e-30, max_iters=100_000, time_budget_s=budget
-            ),
-        )
-        psnr_star = psnr_vs_reference(truncated.volume, reference.volume).psnr_db
+        psnr_star = psnr_vs_reference(run["truncated"].volume, reference.volume).psnr_db
         outcomes.append((psnr_star, run["psnr_db"]))
     ok = all(star < spgm for star, spgm in outcomes)
     detail = ", ".join(f"{star:.1f} vs {spgm:.1f} dB" for star, spgm in outcomes)
     _report(
         8, "time-budgeted PGM loses to SPGM", ok,
         f"truncated-PGM vs SPGM PSNR: {detail}",
-        time.perf_counter() - t0, 600.0,
+        study["t_truncated"] + time.perf_counter() - t0, 600.0,
     )
 
 
@@ -316,7 +323,7 @@ def test_criterion_10_io_round_trips_and_fuzzing(tmp_path):
         voxels=VoxelGrid(center=Vec3(0, 0, 0.25), extent=(0.06, 0.06, 0), dims=(3, 3, 1)),
     )
     volume = ReflectivityVolume(random_complex(rng, scn.n_voxels), scn.voxels)
-    mset = MeasurementSet.for_scenario(random_complex(rng, scn.n_channels), scn)
+    mset = MeasurementSet(random_complex(rng, scn.n_channels), scenario_fingerprint(scn))
 
     vol_path = tmp_path / "v.nfmv"
     meas_path = tmp_path / "m.nfms"

@@ -245,7 +245,7 @@ class TestSimulate:
     def test_undefined_snr_exits_one(self, small_files, tmp_path, capsys, phantom, snr_db):
         if phantom == "zero":
             scn = read_scenario(small_files["scenario"])
-            write_volume(ReflectivityVolume.zeros(scn.voxels), tmp_path / "zero.nfmv")
+            write_volume(ReflectivityVolume(np.zeros(scn.n_voxels), scn.voxels), tmp_path / "zero.nfmv")
             phantom = f"file:{tmp_path / 'zero.nfmv'}"
         out = tmp_path / "x.nfms"
         code = main(
@@ -749,6 +749,47 @@ class TestExitCodes:
         repro, error = capsys.readouterr().err.splitlines()
         assert repro.startswith("# nfmimo ")
         assert error == "error: Unable to allocate 14.6 TiB for an array with shape (10**12,)"
+
+    @pytest.mark.parametrize("command", ["info", "simulate"])
+    def test_phase_overflow_is_one_error_line(self, tmp_path, capsys, command):
+        # 2 Tx / 2 Rx and 3x3x1 voxels: at c = 1e-300 each phase w_f * d overflows
+        scn = tmp_path / "scn.json"
+        assert main(["scenario-init", "--custom", "--tx", "2", "--rx", "2", "--f-count", "3",
+                     "--extent", "0.06,0.06,0", "--dims", "3,3,1", "--out", str(scn)]) == 0
+        doc = json.loads(scn.read_text())
+        doc["speed_of_light"] = 1e-300
+        scn.write_text(json.dumps(doc))
+        argv = [command, "--scenario", str(scn)]
+        if command == "simulate":
+            argv += ["--phantom", "points:1", "--out", str(tmp_path / "m.nfms")]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
+        repro, error = capsys.readouterr().err.splitlines()
+        assert error == "error: the phase 2*pi*f*d/c overflows at f=1.6e+10 Hz and speed of light 1e-300"
+
+    @pytest.mark.parametrize(
+        "command, dims, what",
+        [("info", [10**6, 5, 2], "checking the voxel axes needs 0.024 GB"),
+         ("simulate", [500, 500, 2], "the phantom needs 0.008 GB")],
+    )
+    def test_array_past_memavailable_is_one_error_line(
+        self, small_files, tmp_path, capsys, monkeypatch, command, dims, what
+    ):
+        doc = json.loads(small_files["scenario"].read_text())
+        doc["voxels"]["dims"] = dims
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 10**6)
+        argv = [command, "--scenario", str(big)]
+        if command == "simulate":
+            argv += ["--phantom", "points:1", "--out", str(tmp_path / "m.nfms")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        repro, error = capsys.readouterr().err.splitlines()
+        assert error == f"error: {what}, but only 0.001 GB of memory is available"
+        assert not (tmp_path / "m.nfms").exists()
 
     def test_info_requires_scenario_flag(self):
         assert main(["info"]) == 2

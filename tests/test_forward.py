@@ -41,6 +41,7 @@ from nfmimo import (
     pgm_solve,
     preset_scenario,
     sample_minibatch,
+    scenario_fingerprint,
     simulate_measurements,
     spgm_solve,
     voxel_centers,
@@ -196,7 +197,7 @@ class TestForwardApply:
             assert np.array_equal(restricted, full[sub])
 
     def test_grid_mismatch_rejected(self, small_scenario, tiny_scenario):
-        vol = ReflectivityVolume.zeros(tiny_scenario.voxels)
+        vol = ReflectivityVolume(np.zeros(tiny_scenario.n_voxels), tiny_scenario.voxels)
         with pytest.raises(ValueError, match="grid"):
             forward_apply(vol, small_scenario)
         with pytest.raises(ValueError, match="voxel values"):
@@ -313,7 +314,9 @@ def tiled_scenario() -> ImagingScenario:
 def _adjoint_subsets(scenario: ImagingScenario) -> dict:
     return {
         "full": np.arange(scenario.n_channels),
-        "cartesian": sample_minibatch(MinibatchComposition(2, 2, 1), scenario, 3).indices,
+        "cartesian": sample_minibatch(
+            MinibatchComposition(2, 2, 1), scenario, np.random.default_rng(3)
+        ).indices,
         "ragged": np.array([17, 0, 3, 4, 11, 12]),  # no (tx x rx) product per frequency
     }
 
@@ -348,7 +351,7 @@ class TestAdjointTiles:
             voxels=VoxelGrid(center=Vec3(0, 0, 0.5), extent=(0.2, 0.2, 0.1), dims=(41, 41, 24)),
         )
         nfmimo.forward._plan(scn)
-        sub = sample_minibatch(MinibatchComposition(3, 4, 3), scn, 0)
+        sub = sample_minibatch(MinibatchComposition(3, 4, 3), scn, np.random.default_rng(0))
         r = random_complex(rng, len(sub))
         tracemalloc.start()
         try:
@@ -569,7 +572,9 @@ class TestSupportProducts:
         s = sparse_volume(scn.n_voxels, support, seed=support)
         subset = {
             "full": None,
-            "minibatch": sample_minibatch(MinibatchComposition(4, 2, 1), scn, 0).indices,
+            "minibatch": sample_minibatch(
+                MinibatchComposition(4, 2, 1), scn, np.random.default_rng(0)
+            ).indices,
             "ragged": ragged_subset(scn),
         }[channels]
         nfmimo.forward._plan(scn)
@@ -580,7 +585,7 @@ class TestSupportProducts:
     def test_same_bits_as_whole_rows_on_paper_v(self, extra):
         scn = preset_scenario("paper-v")
         s = sparse_volume(scn.n_voxels, scn.n_voxels // nfmimo.forward._SPARSE + extra)
-        sub = sample_minibatch(MinibatchComposition(4, 4, 3), scn, 0)
+        sub = sample_minibatch(MinibatchComposition(4, 4, 3), scn, np.random.default_rng(0))
         nfmimo.forward._plan(scn)
         assert_same_bits(forward_apply(s, scn, subset=sub), whole_row_forward(s, scn, sub))
 
@@ -638,7 +643,7 @@ n = scn.n_voxels
 sparse = np.zeros(n, dtype=complex)
 sparse[rng.choice(n, size=40, replace=False)] = rng.standard_normal(40) + 1j
 dense = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-batch = sample_minibatch(MinibatchComposition(4, 4, 3), scn, 0)
+batch = sample_minibatch(MinibatchComposition(4, 4, 3), scn, np.random.default_rng(0))
 r = rng.standard_normal(scn.n_channels) + 1j * rng.standard_normal(scn.n_channels)
 out = {
     "forward.sparse": forward_apply(sparse, scn),
@@ -984,6 +989,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ReflectivityVolume(bad, grid)
 
+    def test_volume_value_too_large_for_a_float_refused(self):
+        grid = VoxelGrid(center=Vec3(0, 0, 0.3), extent=(0.1, 0, 0), dims=(2, 1, 1))
+        named = "^voxel values must be finite, got an integer too large for a float$"
+        with pytest.raises(ValueError, match=named):
+            ReflectivityVolume([10**400, 0], grid)
+
     def test_measurement_set_validation(self, tiny_scenario):
         with pytest.raises(ValueError, match="fingerprint"):
             MeasurementSet(np.zeros(4, dtype=complex), b"short")
@@ -991,7 +1002,7 @@ class TestDomainTypes:
             vals = np.zeros(tiny_scenario.n_channels, dtype=complex)
             vals[1] = bad
             with pytest.raises(ValueError, match="finite"):
-                MeasurementSet.for_scenario(vals, tiny_scenario)
+                MeasurementSet(vals, scenario_fingerprint(tiny_scenario))
         named = r"^measurement values must be 1-D, got shape \(2, 2\)$"
         with pytest.raises(ValueError, match=named):
             MeasurementSet(np.zeros((2, 2), dtype=complex), bytes(32))
@@ -1034,8 +1045,8 @@ class TestDomainTypes:
             adjoint_apply(r, tiny_scenario, subset=subset)
 
     def test_measurement_set_matches_only_its_scenario(self, tiny_scenario, small_scenario):
-        mset = MeasurementSet.for_scenario(
-            np.zeros(tiny_scenario.n_channels, dtype=complex), tiny_scenario
+        mset = MeasurementSet(
+            np.zeros(tiny_scenario.n_channels, dtype=complex), scenario_fingerprint(tiny_scenario)
         )
         assert mset.matches(tiny_scenario)
         assert not mset.matches(small_scenario)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nfmimo.forward
 from nfmimo import (
     ArrayGeometry,
     ConstantPulse,
     FrequencyGrid,
     ImagingScenario,
+    PlanTooLargeError,
+    SPEED_OF_LIGHT,
     SingularityError,
     TabulatedPulse,
     Vec3,
@@ -308,7 +312,14 @@ class TestPulseSpectrum:
         with pytest.raises(ValueError, match="^pulse value must be a number"):
             ConstantPulse(bad)
 
-    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)])
+    def test_constant_value_too_large_for_a_float_refused(self):
+        named = "^pulse value must be finite, got an integer too large for a float$"
+        with pytest.raises(ValueError, match=named):
+            ConstantPulse(10**400)
+
+    @pytest.mark.parametrize(
+        "bad", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1), 10**400]
+    )
     def test_tabulated_values_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             TabulatedPulse(frequencies_hz=(1e9, 3e9), values=(1 + 0j, bad))
@@ -490,6 +501,40 @@ class TestImagingScenario:
                     frequencies=FrequencyGrid(1e9, 1e9, 1),
                     voxels=VoxelGrid(center=Vec3(*center), extent=extent, dims=(3, 3, 2)),
                 )
+
+    @pytest.mark.parametrize(
+        "c, band, named",
+        [
+            (1e-300, (4e9, 8e9, 3), r"f=8e\+09 Hz and speed of light 1e-300"),  # w_f is infinite
+            (SPEED_OF_LIGHT, (1e308, 1e308, 1), r"f=1e\+308 Hz and speed of light 2\.99792e\+08"),
+        ],
+        ids=["tiny-speed-of-light", "huge-frequency"],
+    )
+    def test_phase_past_the_float_range_refused(self, c, band, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            with pytest.raises(ValueError, match=rf"^the phase 2\*pi\*f\*d/c overflows at {named}$"):
+                ImagingScenario(
+                    array=make_spiral_array(2, 2, 0.1, rng_seed=1),
+                    frequencies=FrequencyGrid(*band),
+                    voxels=VoxelGrid(center=Vec3(0, 0, 0.25), extent=(0.06, 0.06, 0), dims=(3, 3, 1)),
+                    c=c,
+                )
+
+    def test_voxel_axes_past_memavailable_refused_before_allocation(self, monkeypatch):
+        grid = VoxelGrid(center=Vec3(0, 0, 0.5), extent=(0.3, 0, 0), dims=(10**6, 1, 1))
+        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 10**6)
+        named = r"^checking the voxel axes needs 0\.024 GB, but only 0\.001 GB of memory is available$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(PlanTooLargeError, match=named):
+                ImagingScenario(
+                    array=make_spiral_array(2, 2, 0.1), frequencies=FrequencyGrid(4e9, 8e9, 3), voxels=grid
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6  # less than one 10**6-entry axis
 
     def test_fingerprint_is_stable_and_sensitive(self):
         a = preset_scenario("paper-v")

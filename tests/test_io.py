@@ -2,12 +2,14 @@ import hashlib
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import nfmimo.forward
 from nfmimo import (
     ArrayGeometry,
     ConstantPulse,
@@ -18,6 +20,7 @@ from nfmimo import (
     TabulatedPulse,
     Vec3,
     VoxelGrid,
+    make_spiral_array,
     preset_scenario,
     scenario_fingerprint,
     simulate_measurements,
@@ -129,8 +132,8 @@ class TestMeasurementFile:
         assert back.fingerprint == mset.fingerprint
 
     def test_fingerprint_mismatch_detected(self, small_scenario, tiny_scenario, rng, tmp_path):
-        mset = MeasurementSet.for_scenario(
-            random_complex(rng, tiny_scenario.n_channels), tiny_scenario
+        mset = MeasurementSet(
+            random_complex(rng, tiny_scenario.n_channels), scenario_fingerprint(tiny_scenario)
         )
         path = tmp_path / "m.nfms"
         write_measurements(mset, path)
@@ -140,8 +143,8 @@ class TestMeasurementFile:
         assert read_measurements(path).values.size == tiny_scenario.n_channels
 
     def test_extra_bytes_rejected(self, small_scenario, rng, tmp_path):
-        mset = MeasurementSet.for_scenario(
-            random_complex(rng, small_scenario.n_channels), small_scenario
+        mset = MeasurementSet(
+            random_complex(rng, small_scenario.n_channels), scenario_fingerprint(small_scenario)
         )
         path = tmp_path / "m.nfms"
         write_measurements(mset, path)
@@ -165,7 +168,7 @@ class TestWrittenBytes:
             ),
             (
                 lambda scn, path: write_measurements(
-                    MeasurementSet.for_scenario(np.arange(scn.n_channels) * (1 - 2j) / 3, scn),
+                    MeasurementSet(np.arange(scn.n_channels) * (1 - 2j) / 3, scenario_fingerprint(scn)),
                     path,
                 ),
                 "0d7443fc3f15159bb600de7cd35c22d9e930df5372ca5a1cc9460f0bf0276817",
@@ -239,8 +242,8 @@ class TestFuzzing:
         write_volume(volume, vol_path)
         meas_path = tmp_path / "m.nfms"
         write_measurements(
-            MeasurementSet.for_scenario(
-                random_complex(rng, small_scenario.n_channels), small_scenario
+            MeasurementSet(
+                random_complex(rng, small_scenario.n_channels), scenario_fingerprint(small_scenario)
             ),
             meas_path,
         )
@@ -734,6 +737,28 @@ class TestScenarioFuzz:
         with pytest.raises(SchemaError, match=r"^the distance from the antenna at \(1.35e\+154, "):
             read_scenario(path)
 
+    def test_phase_past_the_float_range_is_schema_error(self, tmp_path):
+        # 2 Tx / 2 Rx and 3x3x1 voxels: at c = 1e-300 each phase w_f * d overflows
+        scn = ImagingScenario(
+            array=make_spiral_array(2, 2, 0.1, rng_seed=1),
+            frequencies=FrequencyGrid(4e9, 8e9, 3),
+            voxels=VoxelGrid(center=Vec3(0, 0, 0.25), extent=(0.06, 0.06, 0), dims=(3, 3, 1)),
+        )
+        path = _scenario_file(tmp_path, scn, ("speed_of_light",), 1e-300)
+        named = r"^the phase 2\*pi\*f\*d/c overflows at f=8e\+09 Hz and speed of light 1e-300$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            with pytest.raises(SchemaError, match=named):
+                read_scenario(path)
+
+    def test_voxel_axes_past_memavailable_are_schema_error(self, tmp_path, monkeypatch):
+        # 24 bytes per axis entry: 24 MB for 10**6 + 61 + 21 entries
+        path = _scenario_file(tmp_path, preset_scenario("paper-v"), ("voxels", "dims", 0), 10**6)
+        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 10**6)
+        named = r"^checking the voxel axes needs 0\.024 GB, but only 0\.001 GB of memory is available$"
+        with pytest.raises(SchemaError, match=named):
+            read_scenario(path)
+
 
 class TestSlicesCsv:
     def test_single_voxel_normalizes_to_one(self, tmp_path):
@@ -745,7 +770,7 @@ class TestSlicesCsv:
 
     def test_zero_volume_stays_zero(self, tmp_path):
         grid = VoxelGrid(center=Vec3(0, 0, 0.1), extent=(0.1, 0.1, 0), dims=(2, 2, 1))
-        vol = ReflectivityVolume.zeros(grid)
+        vol = ReflectivityVolume(np.zeros(grid.n_voxels), grid)
         paths = export_slices_csv(vol, tmp_path / "z")
         rows = paths[0].read_text().strip().split("\n")
         assert rows == ["0,0", "0,0"]

@@ -130,7 +130,7 @@ class TestRunSweep:
         )
         assert len(records) == 4
         assert [r.seed for r in records] == [3, 4, 3, 4]
-        assert [r.batch_size for r in records] == [1, 1, 8, 8]
+        assert [r.composition.batch_size for r in records] == [1, 1, 8, 8]
         assert all(r.runtime_s >= 0 and r.iterations == 5 for r in records)
 
     def test_full_composition_reuses_the_reference(self, tiny_scenario, rng, monkeypatch):

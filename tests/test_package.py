@@ -94,13 +94,13 @@ def test_operator_path_does_not_import_numpy_ma():
     # a plain np.unique imports numpy.ma on numpy >= 2.3, about 10 ms of every
     # cold process; the channel bookkeeping keeps to integer primitives
     before, loaded = _modules_loaded_by(
-        "from nfmimo import *; "
+        "import numpy as np; from nfmimo import *; "
         "scn = ImagingScenario(array=make_spiral_array(3, 2, 0.15, rng_seed=3), "
         "frequencies=FrequencyGrid(4e9, 9e9, 3), voxels=VoxelGrid(center=Vec3(0, 0, 0.3), "
         "extent=(0.12, 0.08, 0.06), dims=(8, 8, 4))); "
         "y = simulate_measurements(make_phantom('points:3', scn.voxels), scn, 1e-3); "
         "comp = MinibatchComposition(2, 2, 1); "
-        "sample_minibatch(comp, scn, 0); "
+        "sample_minibatch(comp, scn, np.random.default_rng(0)); "
         "spgm_solve(y, scn, SolverConfig(composition=comp, max_iters=3))"
     )
     assert "numpy.ma" not in before | loaded

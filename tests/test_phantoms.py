@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nfmimo import ReflectivityVolume, Vec3, VoxelGrid, make_phantom
+import nfmimo.forward
+from nfmimo import PlanTooLargeError, ReflectivityVolume, Vec3, VoxelGrid, make_phantom
 from nfmimo.io import write_volume
 from conftest import random_complex
 
@@ -56,7 +59,7 @@ class TestFile:
 
     def test_other_dims_refused(self, tmp_path):
         other = VoxelGrid(center=Vec3(0.0, 0.0, 0.3), extent=(0.08, 0.06, 0.0), dims=(9, 7, 1))
-        write_volume(ReflectivityVolume.zeros(other), tmp_path / "o.nfmv")
+        write_volume(ReflectivityVolume(np.zeros(other.n_voxels), other), tmp_path / "o.nfmv")
         with pytest.raises(ValueError, match="do not match grid"):
             make_phantom(f"file:{tmp_path / 'o.nfmv'}", GRID)
 
@@ -64,3 +67,19 @@ class TestFile:
 def test_unknown_spec_refused():
     with pytest.raises(ValueError, match="unknown phantom spec 'blob'"):
         make_phantom("blob", GRID)
+
+
+@pytest.mark.parametrize("spec", ["points:1", "bar", "cross"])
+def test_past_memavailable_refused_before_allocation(monkeypatch, spec):
+    # 100 x 100 x 10 voxels: 1.6 MB of complex values
+    grid = VoxelGrid(center=Vec3(0.0, 0.0, 0.3), extent=(0.1, 0.1, 0.02), dims=(100, 100, 10))
+    monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 10**6)
+    named = r"^the phantom needs 0\.0016 GB, but only 0\.001 GB of memory is available$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(PlanTooLargeError, match=named):
+            make_phantom(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * grid.n_voxels

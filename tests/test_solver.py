@@ -146,7 +146,12 @@ class TestSampleMinibatch:
 
     @pytest.mark.parametrize("seed", [True, -1, 2.5, "3"])
     def test_seed_must_be_a_whole_number(self, sampling_scenario, seed):
-        with pytest.raises(ValueError, match="rng must be"):
+        with pytest.raises(ValueError, match="^rng must be a numpy Generator, got "):
+            sample_minibatch(MinibatchComposition(1, 1, 1), sampling_scenario, seed)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_rng_must_be_a_generator(self, sampling_scenario, seed):
+        with pytest.raises(ValueError, match="^rng must be a numpy Generator, got "):
             sample_minibatch(MinibatchComposition(1, 1, 1), sampling_scenario, seed)
 
     def test_composition_validation(self):
