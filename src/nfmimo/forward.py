@@ -62,6 +62,7 @@ from .geometry import (
     VoxelGrid,
     _axes,
     _center,
+    _check_available,
     _count,
     _is_integer,
     _real,
@@ -74,7 +75,6 @@ __all__ = [
     "MeasurementSet",
     "ChannelSubset",
     "DenseCapError",
-    "PlanTooLargeError",
     "matrix_element",
     "forward_apply",
     "adjoint_apply",
@@ -85,11 +85,6 @@ __all__ = [
 
 class DenseCapError(RuntimeError):
     """Dense materialization would exceed the entry cap."""
-
-
-class PlanTooLargeError(ValueError):
-    """The operator plan, or another array sized by the scenario, would not fit
-    in the memory the OS reports available."""
 
 
 def _complex_vector(what: str, values, size: int | None = None) -> np.ndarray:
@@ -292,29 +287,6 @@ def _plan_nbytes(scenario: ImagingScenario) -> int:
     F*(T+R)*N table entries, 16 bytes each."""
     f, t, r = scenario.channel_shape
     return 16 * f * (1 + (t + r) * scenario.n_voxels)
-
-
-def _available_bytes() -> int | None:
-    """``MemAvailable`` from /proc/meminfo, or None where it cannot be read."""
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    return None
-
-
-def _check_available(what: str, need: int) -> None:
-    """Refuse, before it is allocated, ``need`` bytes for ``what`` beyond the
-    memory the OS reports available; nothing is refused where it cannot be read."""
-    available = _available_bytes()
-    if available is not None and need > available:
-        raise PlanTooLargeError(
-            f"{what} needs {need / 1e9:.3g} GB, but only "
-            f"{available / 1e9:.3g} GB of memory is available"
-        )
 
 
 def _plan(scenario: ImagingScenario) -> _OperatorPlan:

@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "SPEED_OF_LIGHT",
     "SingularityError",
+    "PlanTooLargeError",
     "Vec3",
     "ArrayGeometry",
     "FrequencyGrid",
@@ -40,10 +41,40 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
 
 class SingularityError(ValueError):
-    """A voxel center coincides with an antenna (propagation term blows up)."""
+    """A voxel center coincides with an antenna, or lies so near a transmitter
+    and a receiver that the propagation term overflows."""
+
+
+class PlanTooLargeError(ValueError):
+    """The operator plan, or another array sized by the scenario, would not fit
+    in the memory the OS reports available."""
 
 
 _INDEX_MAX = int(np.iinfo(np.intp).max)  # the largest count numpy can index
+
+
+def _available_bytes() -> int | None:
+    """``MemAvailable`` from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_available(what: str, need: int) -> None:
+    """Refuse, before it is allocated, ``need`` bytes for ``what`` beyond the
+    memory the OS reports available; nothing is refused where it cannot be read."""
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise PlanTooLargeError(
+            f"{what} needs {need / 1e9:.3g} GB, but only "
+            f"{available / 1e9:.3g} GB of memory is available"
+        )
+
 
 # One validator per kind of scalar input. Each refuses with a ValueError that
 # names the input; none coerces a bool or a string into a number.
@@ -317,18 +348,17 @@ class ImagingScenario:
             raise ValueError(f"pulse must be a ConstantPulse or a TabulatedPulse, got {pulse!r}")
         # the axes, one antenna's squares and a temporary, 8 bytes each per
         # entry, are refused before they are allocated if they cannot fit
-        from .forward import _check_available  # not at the top: forward imports this module
-
         _check_available("checking the voxel axes", 24 * sum(self.voxels.dims))
         # Fail fast on antenna/voxel coincidence so the element evaluation
-        # never has to branch on a vanishing denominator, and on a distance or
-        # a phase past the float range, which would make table entries NaN. A
-        # squared distance is a sum of three non-negative per-axis squares, so
-        # it is 0 exactly when each of them is, and its largest value is the
-        # sum of their maxima: the checks cost O(nx + ny + nz) per antenna, not
-        # O(N), and name the first flat voxel that is at distance 0.
+        # never has to branch on a vanishing denominator, and on a distance, an
+        # amplitude or a phase past the float range, which would make table
+        # entries infinite or NaN. A squared distance is a sum of three
+        # non-negative per-axis squares, so it is 0 exactly when each of them
+        # is, and its smallest and largest values are the sums of their minima
+        # and maxima: the checks cost O(nx + ny + nz) per antenna, not O(N),
+        # and name the first flat voxel that is at distance 0.
         ants = np.vstack([self.array.tx_positions(), self.array.rx_positions()])
-        farthest = []  # each antenna's largest squared distance
+        nearest, farthest = [], []  # each antenna's smallest and largest squared distance
         with np.errstate(over="ignore"):  # an overflow is refused below
             axes = _axes(self.voxels)
             for x, y, z in ants:
@@ -336,15 +366,25 @@ class ImagingScenario:
                 farthest.append(sum(float(sq.max()) for sq in squares))
                 if not math.isfinite(farthest[-1]):
                     raise ValueError(f"the distance from the antenna at ({x}, {y}, {z}) overflows")
-                hits = [np.flatnonzero(sq == 0.0) for sq in squares]
-                if all(h.size for h in hits):
-                    ix, iy, iz = (int(h[0]) for h in hits)
+                nearest.append(sum(float(sq.min()) for sq in squares))
+                if nearest[-1] == 0.0:
+                    ix, iy, iz = (int(np.flatnonzero(sq == 0.0)[0]) for sq in squares)
                     n = int(np.ravel_multi_index((iz, iy, ix), self.voxels.shape))
                     raise SingularityError(f"voxel {n} coincides with antenna at ({x}, {y}, {z})")
+        # the largest amplitude 1/(4 pi dT dR), bounded by the nearest
+        # transmitter and receiver distances; a denominator that underflows to
+        # 0 is refused, not divided by
+        n_tx, f_max = self.array.n_tx, fg.f_stop
+        d_tx, d_rx = math.sqrt(min(nearest[:n_tx])), math.sqrt(min(nearest[n_tx:]))
+        denominator = 4.0 * math.pi * d_tx * d_rx
+        if denominator == 0.0 or not math.isfinite(1.0 / denominator):
+            raise SingularityError(
+                f"the amplitude 1/(4*pi*dT*dR) overflows at the nearest distances "
+                f"dT={d_tx:g} m and dR={d_rx:g} m"
+            )
         # the largest phases the operator forms, each as it forms them: a
         # table's w_f * d (forward._tables) and an element's (2 pi / c) * f *
         # (dT + dR) (forward._element_row)
-        n_tx, f_max = self.array.n_tx, fg.f_stop
         d_tx, d_rx = math.sqrt(max(farthest[:n_tx])), math.sqrt(max(farthest[n_tx:]))
         table = 2.0 * math.pi * f_max / self.c * max(d_tx, d_rx)
         element = 2.0 * math.pi / self.c * f_max * (d_tx + d_rx)

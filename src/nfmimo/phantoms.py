@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import ReflectivityVolume, _check_available
-from .geometry import VoxelGrid, _count
+from .forward import ReflectivityVolume
+from .geometry import VoxelGrid, _check_available, _count
 
 __all__ = ["make_phantom"]
 

@@ -322,7 +322,7 @@ class TestReconstruct:
 
     def test_plan_too_large_exits_one(self, small_files, tmp_path, monkeypatch, capsys):
         nfmimo.forward._slot = None
-        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 1000)
+        monkeypatch.setattr(nfmimo.geometry, "_available_bytes", lambda: 1000)
         out = tmp_path / "recon.nfmv"
         code = main(
             ["reconstruct", "--scenario", str(small_files["scenario"]),
@@ -769,6 +769,26 @@ class TestExitCodes:
         repro, error = capsys.readouterr().err.splitlines()
         assert error == "error: the phase 2*pi*f*d/c overflows at f=1.6e+10 Hz and speed of light 1e-300"
 
+    def test_voxel_near_two_antennas_is_one_error_line(self, tmp_path, capsys):
+        # antennas 1e-300 m apart and a voxel 1e-160 m above both: no distance
+        # is 0, but 1/(4*pi*dT*dR) is past the float range
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "speed_of_light": 299792458.0,
+            "frequencies": {"start_hz": 4e9, "stop_hz": 4e9, "count": 1},
+            "voxels": {"center": [0.0, 0.0, 1e-160], "extent": [0.0, 0.0, 0.0], "dims": [1, 1, 1]},
+            "pulse": {"mode": "constant", "value": [1.0, 0.0]},
+            "transmitters": [[0.0, 0.0, 0.0]],
+            "receivers": [[1e-300, 0.0, 0.0]],
+        }))
+        capsys.readouterr()
+        assert main(["info", "--scenario", str(scn)]) == 1
+        repro, error = capsys.readouterr().err.splitlines()
+        assert error == (
+            "error: the amplitude 1/(4*pi*dT*dR) overflows at the nearest distances "
+            "dT=9.99994e-161 m and dR=9.99994e-161 m"
+        )
+
     @pytest.mark.parametrize(
         "command, dims, what",
         [("info", [10**6, 5, 2], "checking the voxel axes needs 0.024 GB"),
@@ -781,7 +801,7 @@ class TestExitCodes:
         doc["voxels"]["dims"] = dims
         big = tmp_path / "big.json"
         big.write_text(json.dumps(doc))
-        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 10**6)
+        monkeypatch.setattr(nfmimo.geometry, "_available_bytes", lambda: 10**6)
         argv = [command, "--scenario", str(big)]
         if command == "simulate":
             argv += ["--phantom", "points:1", "--out", str(tmp_path / "m.nfms")]

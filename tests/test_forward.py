@@ -776,7 +776,7 @@ def built_nbytes(plan) -> int:
 class TestPlanSizeRefusal:
     def test_message_names_both_sizes(self, tiny_scenario, monkeypatch):
         nfmimo.forward._slot = None
-        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 100)
+        monkeypatch.setattr(nfmimo.geometry, "_available_bytes", lambda: 100)
         # 16 bytes x 2 frequencies x (1 + 4 antennas x 4 voxels) = 544 bytes
         with pytest.raises(PlanTooLargeError, match=r"needs 5\.44e-07 GB.* 1e-07 GB"):
             adjoint_apply(np.zeros(tiny_scenario.n_channels, dtype=complex), tiny_scenario)
@@ -791,7 +791,7 @@ class TestPlanSizeRefusal:
         smallest_table = 16 * 3 * 2 * scn.n_voxels
         nfmimo.forward._plan(sparse_scenario(array_seed=40))  # freed before the refusal
         need, zeros = nfmimo.forward._plan_nbytes(scn), np.zeros(scn.n_channels, dtype=complex)
-        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: need - 1)
+        monkeypatch.setattr(nfmimo.geometry, "_available_bytes", lambda: need - 1)
         tracemalloc.start()
         try:
             with pytest.raises(PlanTooLargeError):
@@ -799,7 +799,7 @@ class TestPlanSizeRefusal:
             refused_peak = tracemalloc.get_traced_memory()[1]
             assert nfmimo.forward._slot is None
             # the same measure sees the tables of a plan that fits
-            monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: need)
+            monkeypatch.setattr(nfmimo.geometry, "_available_bytes", lambda: need)
             tracemalloc.reset_peak()
             adjoint_apply(zeros, scn)
             built_peak = tracemalloc.get_traced_memory()[1]
@@ -824,8 +824,8 @@ class TestPlanSizeRefusal:
         fake = tmp_path / "meminfo"
         if meminfo is not None:
             fake.write_text(meminfo)
-        monkeypatch.setattr(nfmimo.forward, "open", lambda _: open(fake), raising=False)
-        assert nfmimo.forward._available_bytes() is None
+        monkeypatch.setattr(nfmimo.geometry, "open", lambda _: open(fake), raising=False)
+        assert nfmimo.geometry._available_bytes() is None
         scn = sparse_scenario(array_seed=42)
         nfmimo.forward._slot = None
         assert built_nbytes(nfmimo.forward._plan(scn)) == nfmimo.forward._plan_nbytes(scn)
@@ -833,8 +833,8 @@ class TestPlanSizeRefusal:
     def test_reads_memavailable(self, tmp_path, monkeypatch):
         fake = tmp_path / "meminfo"
         fake.write_text("MemTotal: 900 kB\nMemAvailable: 512 kB\n")
-        monkeypatch.setattr(nfmimo.forward, "open", lambda _: open(fake), raising=False)
-        assert nfmimo.forward._available_bytes() == 512 * 1024
+        monkeypatch.setattr(nfmimo.geometry, "open", lambda _: open(fake), raising=False)
+        assert nfmimo.geometry._available_bytes() == 512 * 1024
 
 
 class TestChannelSubset:

@@ -20,6 +20,7 @@ from nfmimo import (
     TabulatedPulse,
     Vec3,
     VoxelGrid,
+    forward_apply,
     make_spiral_array,
     matrix_element,
     preset_scenario,
@@ -521,9 +522,31 @@ class TestImagingScenario:
                     c=c,
                 )
 
+    @pytest.mark.parametrize("z, refused", [(1e-160, True), (1e-150, False)])
+    def test_voxel_near_a_transmitter_and_a_receiver(self, z, refused):
+        # the receiver is 1e-300 m from the transmitter, and the voxel z above
+        # both: no distance is 0, and at 1e-160 m 1/(4*pi*dT*dR) is past the
+        # float range
+        def build():
+            return ImagingScenario(
+                array=ArrayGeometry(transmitters=(Vec3(0, 0, 0),), receivers=(Vec3(1e-300, 0, 0),)),
+                frequencies=FrequencyGrid(4e9, 4e9, 1),
+                voxels=VoxelGrid(center=Vec3(0, 0, z), extent=(0, 0, 0), dims=(1, 1, 1)),
+            )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            if refused:
+                distances = r"dT=9\.99994e-161 m and dR=9\.99994e-161 m"
+                named = rf"^the amplitude 1/\(4\*pi\*dT\*dR\) overflows at the nearest distances {distances}$"
+                with pytest.raises(SingularityError, match=named):
+                    build()
+            else:
+                assert np.all(np.isfinite(forward_apply(np.ones(1), build())))
+
     def test_voxel_axes_past_memavailable_refused_before_allocation(self, monkeypatch):
         grid = VoxelGrid(center=Vec3(0, 0, 0.5), extent=(0.3, 0, 0), dims=(10**6, 1, 1))
-        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 10**6)
+        monkeypatch.setattr(nfmimo.geometry, "_available_bytes", lambda: 10**6)
         named = r"^checking the voxel axes needs 0\.024 GB, but only 0\.001 GB of memory is available$"
         tracemalloc.start()
         try:

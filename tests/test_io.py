@@ -751,10 +751,25 @@ class TestScenarioFuzz:
             with pytest.raises(SchemaError, match=named):
                 read_scenario(path)
 
+    def test_voxel_near_a_transmitter_and_a_receiver_is_schema_error(self, tmp_path):
+        # antennas 1e-300 m apart and a voxel 1e-160 m above both: no distance
+        # is 0, but 1/(4*pi*dT*dR) is past the float range
+        scn = ImagingScenario(
+            array=ArrayGeometry(transmitters=(Vec3(0, 0, 0),), receivers=(Vec3(1e-300, 0, 0),)),
+            frequencies=FrequencyGrid(4e9, 4e9, 1),
+            voxels=VoxelGrid(center=Vec3(0, 0, 1e-100), extent=(0, 0, 0), dims=(1, 1, 1)),
+        )
+        path = _scenario_file(tmp_path, scn, ("voxels", "center", 2), 1e-160)
+        named = r"^the amplitude 1/\(4\*pi\*dT\*dR\) overflows at the nearest distances dT="
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            with pytest.raises(SchemaError, match=named):
+                read_scenario(path)
+
     def test_voxel_axes_past_memavailable_are_schema_error(self, tmp_path, monkeypatch):
         # 24 bytes per axis entry: 24 MB for 10**6 + 61 + 21 entries
         path = _scenario_file(tmp_path, preset_scenario("paper-v"), ("voxels", "dims", 0), 10**6)
-        monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 10**6)
+        monkeypatch.setattr(nfmimo.geometry, "_available_bytes", lambda: 10**6)
         named = r"^checking the voxel axes needs 0\.024 GB, but only 0\.001 GB of memory is available$"
         with pytest.raises(SchemaError, match=named):
             read_scenario(path)

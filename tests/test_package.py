@@ -1,6 +1,7 @@
 """The package namespace: ``nfmimo`` re-exports each library module's
 ``__all__`` and nothing else."""
 
+import ast
 import json
 import os
 import subprocess
@@ -88,6 +89,41 @@ def test_io_holds_no_scenario_document_keys():
     source = Path(nfmimo.__file__).with_name("io.py").read_text(encoding="utf-8")
     for key in ('"start_hz"', '"stop_hz"', '"frequencies_hz"', '"speed_of_light"'):
         assert key not in source, key
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """The package modules the module at ``path`` imports relatively, at any
+    depth; ``from . import name`` of a name that is no module is ``__init__``."""
+    targets = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                targets.add(node.module.split(".")[0])
+            else:
+                targets.update(
+                    a.name if path.with_name(f"{a.name}.py").exists() else "__init__"
+                    for a in node.names
+                )
+    return targets
+
+
+def test_package_imports_form_no_cycle():
+    # imports inside functions count too; phantoms' function-level import of
+    # io, which keeps io out of `import nfmimo`, closes no cycle
+    graph = {path.stem: _relative_imports(path) for path in Path(nfmimo.__file__).parent.glob("*.py")}
+
+    def cycle_from(module: str, path: list[str]) -> list[str] | None:
+        if module in path:
+            return path[path.index(module):] + [module]
+        for target in sorted(graph.get(module, ())):
+            cycle = cycle_from(target, path + [module])
+            if cycle:
+                return cycle
+        return None
+
+    for module in sorted(graph):
+        cycle = cycle_from(module, [])
+        assert cycle is None, " -> ".join(cycle)
 
 
 def test_operator_path_does_not_import_numpy_ma():

@@ -73,7 +73,7 @@ def test_unknown_spec_refused():
 def test_past_memavailable_refused_before_allocation(monkeypatch, spec):
     # 100 x 100 x 10 voxels: 1.6 MB of complex values
     grid = VoxelGrid(center=Vec3(0.0, 0.0, 0.3), extent=(0.1, 0.1, 0.02), dims=(100, 100, 10))
-    monkeypatch.setattr(nfmimo.forward, "_available_bytes", lambda: 10**6)
+    monkeypatch.setattr(nfmimo.geometry, "_available_bytes", lambda: 10**6)
     named = r"^the phantom needs 0\.0016 GB, but only 0\.001 GB of memory is available$"
     tracemalloc.start()
     try:
