@@ -17,27 +17,32 @@ step phasor exp(-j*dw*d), dw = 2*pi*spacing/c, and every 8th row is
 evaluated from the formula, so the rounding error cannot grow with F.
 
 One builder makes the tables over a set of flat voxel indices, with each
-distance from the antenna's squared offsets along the grid's three axes. A
-volume is sparse when at most N/16 of its voxels are nonzero. The tables of
-every voxel (the plan, 16*F*(T+R)*N bytes) are built by the first adjoint on
-a scenario, by a solve before its clock starts, and by a forward of a volume
-that is not sparse. The plan is cached in one slot, a (scenario, plan) pair
-that a lookup matches by identity first and by equality next: a plan for
-another scenario empties the slot first, so a process never holds two. A
-plan larger than the memory the OS reports available is refused before it
-is allocated. Before a plan is cached, a forward of a sparse volume (a
-simulated phantom) builds the tables over its nonzero voxels only.
+distance from the antenna's squared offsets along the grid's three axes. The
+tables of every voxel (the plan, 16*F*(T+R)*N bytes) are built by the first
+adjoint on a scenario, by a solve before its clock starts, and by a forward
+of a volume with more than N/16 nonzero voxels. The plan is cached in one
+slot, a (scenario, plan) pair that a lookup matches by identity first and by
+equality next: a plan for another scenario empties the slot first, so a
+process never holds two. A plan larger than the memory the OS reports
+available is refused before it is allocated.
 
-The forward runs one per-frequency function on either kind of table. Per
-transmitter it forms the row w = u_t * s, then takes one length-N dot of w
-with each receiver row v_r. For a sparse volume (the solver's iterates,
-mostly) w is multiplied on the support only and stays zero elsewhere; a
-denser volume is multiplied over the whole row. On the support tables the
-receiver columns are zero-padded to length N. The dots are the same on
-every path, and so are the bits of the output, for a given BLAS thread
-count: OpenBLAS may split a long dot into partial sums whose order depends
-on that count, so the forward's bits can differ between BLAS settings. The
-adjoint's do not.
+The forward takes one of three paths, by the volume's nonzero count alone:
+
+- At most N/256 (a simulated point phantom): per frequency, one (T, R)
+  block (u * s) @ v.T over the support's table columns, those of the cached
+  plan or, with none cached, built over the support only. Every channel
+  reads its entry of the block, so its bits depend neither on the subset
+  nor on the plan, nor on the BLAS thread count.
+- At most N/16 (the solver's iterates, mostly): per transmitter, the row
+  w = u_t * s is formed on the support only and stays zero elsewhere; one
+  length-N dot of w with each receiver row v_r gives a channel. With no plan
+  cached the support's columns are built and zero-padded to length N.
+- Denser: the same dots, with w multiplied over the whole row of the plan.
+
+The dots are the same on the last two paths, and so are the bits of the
+output, for a given BLAS thread count: OpenBLAS may split a long dot into
+partial sums whose order depends on that count, so their bits can differ
+between BLAS settings. The adjoint's do not.
 
 Subset applications reuse the exact same cached rows and the same per-channel
 reduction as the full application, so restricting to a subset is bit-exact.
@@ -368,12 +373,21 @@ def _rows(sel: np.ndarray):
 # 4.6 ms against 6.0 ms whole-row at 6.25% random nonzeros, and 6.0 against
 # 5.5 ms at 7%.
 _SPARSE = 16
+# A volume with at most N/_TINY nonzero voxels (a simulated point phantom;
+# the solves' iterates on `paper-v` hold hundreds) is forwarded by one T x R
+# product per frequency over its support's columns, with no length-N dot: a
+# `points:5` forward on `paper-v` with no plan cached took 1.2-1.3 ms against
+# 28-37 ms by the support-column dots.
+_TINY = 256
 
 
 def _forward_values(values: np.ndarray, scenario: ImagingScenario, idx: np.ndarray) -> np.ndarray:
     n = scenario.n_voxels
     nonzero = values != 0
-    support = np.flatnonzero(nonzero) if _SPARSE * np.count_nonzero(nonzero) <= n else None
+    count = np.count_nonzero(nonzero)
+    if _TINY * count <= n:
+        return _forward_block(values, scenario, idx, np.flatnonzero(nonzero))
+    support = np.flatnonzero(nonzero) if _SPARSE * count <= n else None
     # With no plan cached, a sparse volume builds its support's columns only;
     # each receiver's are padded into one zero row in turn, since holding all
     # F*(T+R) or T+R padded rows would take tens of MB that the heap keeps
@@ -407,6 +421,25 @@ def _forward_values(values: np.ndarray, scenario: ImagingScenario, idx: np.ndarr
                 if pad:
                     rx[support] = tabs.rx_tab[f, r]
                 out[k] = p * np.dot(w, rx if pad else tabs.rx_tab[f, r])
+    return out
+
+
+def _forward_block(
+    values: np.ndarray, scenario: ImagingScenario, idx: np.ndarray, support: np.ndarray
+) -> np.ndarray:
+    """The forward of a volume nonzero on ``support`` only, by the whole
+    (T, R) block (u * s) @ v.T per touched frequency over the support's table
+    columns: those of the cached plan, or built over the support alone. The
+    block depends on neither the subset nor the plan, so neither do the bits
+    of any channel. OpenBLAS splits a product between its threads by blocks
+    of the output, so no thread count changes the order of an entry's sum."""
+    plan = _cached(scenario)
+    tabs, cols = (_build(scenario, support), slice(None)) if plan is None else (plan, support)
+    on_support = values[support]
+    out = np.empty(idx.size, dtype=np.complex128)
+    for f, pos, ts, tpos, rs, rpos in _by_frequency(idx, scenario):
+        block = (tabs.tx_tab[f][:, cols] * on_support) @ tabs.rx_tab[f][:, cols].T
+        out[pos] = tabs.pulse_vals[f] * block[ts[tpos], rs[rpos]]
     return out
 
 

@@ -373,15 +373,17 @@ class ImagingScenario:
                     raise SingularityError(f"voxel {n} coincides with antenna at ({x}, {y}, {z})")
         # the largest amplitude 1/(4 pi dT dR), bounded by the nearest
         # transmitter and receiver distances; a denominator that underflows to
-        # 0 is refused, not divided by
+        # 0 is refused, not divided by. Its square is refused too: the
+        # Lipschitz estimate and the gradient multiply an entry by its
+        # conjugate.
         n_tx, f_max = self.array.n_tx, fg.f_stop
         d_tx, d_rx = math.sqrt(min(nearest[:n_tx])), math.sqrt(min(nearest[n_tx:]))
+        at = f"at the nearest distances dT={d_tx:g} m and dR={d_rx:g} m"
         denominator = 4.0 * math.pi * d_tx * d_rx
         if denominator == 0.0 or not math.isfinite(1.0 / denominator):
-            raise SingularityError(
-                f"the amplitude 1/(4*pi*dT*dR) overflows at the nearest distances "
-                f"dT={d_tx:g} m and dR={d_rx:g} m"
-            )
+            raise SingularityError(f"the amplitude 1/(4*pi*dT*dR) overflows {at}")
+        if not math.isfinite((1.0 / denominator) * (1.0 / denominator)):
+            raise SingularityError(f"the squared amplitude (1/(4*pi*dT*dR))**2 overflows {at}")
         # the largest phases the operator forms, each as it forms them: a
         # table's w_f * d (forward._tables) and an element's (2 pi / c) * f *
         # (dT + dR) (forward._element_row)

@@ -167,6 +167,25 @@ class TestSimulate:
         assert exit_code == 0
         assert peak_kib < 150 * 1024
 
+    def test_point_phantom_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS reads its thread count once, at import, so each count
+        # needs a fresh process
+        scn_path = tmp_path / "paper-v.json"
+        assert main(["scenario-init", "--preset", "paper-v", "--out", str(scn_path)]) == 0
+        src = str(Path(nfmimo.__file__).resolve().parents[1])
+        written = []
+        for count in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": count, "PYTHONPATH": os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            out = tmp_path / f"blas{count}.nfms"
+            subprocess.run(
+                [sys.executable, "-m", "nfmimo.cli", "simulate", "--scenario", str(scn_path),
+                 "--phantom", "points:5", "--noise", "0.02", "--out", str(out)],
+                capture_output=True, env=env, timeout=120, check=True,
+            )
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_zero_noise_measurements_equal_forward_of_truth(self, small_files):
         scn = read_scenario(small_files["scenario"])
         mset = read_measurements(small_files["measurements"], scenario=scn)
@@ -787,6 +806,28 @@ class TestExitCodes:
         assert error == (
             "error: the amplitude 1/(4*pi*dT*dR) overflows at the nearest distances "
             "dT=9.99994e-161 m and dR=9.99994e-161 m"
+        )
+
+    def test_squared_amplitude_overflow_is_one_error_line(self, tmp_path, capsys):
+        # a voxel 1e-150 m above both antennas: 1/(4*pi*dT*dR) is finite, its
+        # square is not
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "speed_of_light": 299792458.0,
+            "frequencies": {"start_hz": 4e9, "stop_hz": 4e9, "count": 1},
+            "voxels": {"center": [0.0, 0.0, 1e-150], "extent": [0.0, 0.0, 0.0], "dims": [1, 1, 1]},
+            "pulse": {"mode": "constant", "value": [1.0, 0.0]},
+            "transmitters": [[0.0, 0.0, 0.0]],
+            "receivers": [[1e-300, 0.0, 0.0]],
+        }))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["info", "--scenario", str(scn)]) == 1
+        repro, error = capsys.readouterr().err.splitlines()
+        assert error == (
+            "error: the squared amplitude (1/(4*pi*dT*dR))**2 overflows at the nearest distances "
+            "dT=1e-150 m and dR=1e-150 m"
         )
 
     @pytest.mark.parametrize(

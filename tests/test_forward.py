@@ -300,15 +300,20 @@ def test_threads_has_no_effect(case):
     assert_same_bits(*outputs)
 
 
-@pytest.fixture(scope="module")
-def tiled_scenario() -> ImagingScenario:
-    """18 channels over 29x29x5 = 4205 voxels: more than one adjoint tile and
-    not a multiple of the tile size."""
+def tiled(n_tx: int = 3, n_rx: int = 2) -> ImagingScenario:
+    """3 frequencies and ``n_tx`` x ``n_rx`` antennas over 29x29x5 = 4205
+    voxels: more than one adjoint tile and not a multiple of the tile size."""
     return ImagingScenario(
-        array=make_spiral_array(3, 2, 0.15, rng_seed=3),
+        array=make_spiral_array(n_tx, n_rx, 0.15, rng_seed=3),
         frequencies=FrequencyGrid(4e9, 9e9, 3),
         voxels=VoxelGrid(center=Vec3(0.0, 0.0, 0.3), extent=(0.12, 0.12, 0.04), dims=(29, 29, 5)),
     )
+
+
+@pytest.fixture(scope="module")
+def tiled_scenario() -> ImagingScenario:
+    """18 channels over 4205 voxels."""
+    return tiled()
 
 
 def _adjoint_subsets(scenario: ImagingScenario) -> dict:
@@ -624,10 +629,99 @@ class TestSupportProducts:
             assert_same_bits(a, b)
 
 
+def block_path_calls(monkeypatch) -> list:
+    """Counts the forwards that take the support-block path."""
+    calls = []
+    block = nfmimo.forward._forward_block
+
+    def counted(*args):
+        calls.append(args[-1].size)
+        return block(*args)
+
+    monkeypatch.setattr(nfmimo.forward, "_forward_block", counted)
+    return calls
+
+
+def paper_v_subsets(scn: ImagingScenario) -> dict:
+    """Flat channel subsets of ``paper-v``: all, two minibatches and a ragged third."""
+    batch = {
+        name: sample_minibatch(MinibatchComposition(*c), scn, np.random.default_rng(0)).indices
+        for name, c in (("111", (1, 1, 1)), ("443", (4, 4, 3)))
+    }
+    return {"full": np.arange(scn.n_channels), **batch, "ragged": ragged_subset(scn)}
+
+
+class TestSupportBlock:
+    """A volume with at most N/_TINY nonzero voxels is forwarded by one (T, R)
+    block per frequency over its support's table columns. The rule reads the
+    nonzero count alone, so the bits depend neither on the subset nor on a
+    cached plan."""
+
+    @pytest.mark.parametrize("spec", ["points:1", "points:5", "bar", "cross"])
+    def test_subset_is_a_slice_with_and_without_a_plan_on_paper_v(self, spec, monkeypatch):
+        scn = preset_scenario("paper-v")
+        s = make_phantom(spec, scn.voxels, rng_seed=42)
+        assert nfmimo.forward._TINY * np.count_nonzero(s.values) <= scn.n_voxels
+        calls = block_path_calls(monkeypatch)
+        subsets = paper_v_subsets(scn)
+        nfmimo.forward._slot = None
+        by_plan = []
+        for cached in (False, True):
+            if cached:
+                nfmimo.forward._plan(scn)
+            outputs = {name: forward_apply(s, scn, subset=sub) for name, sub in subsets.items()}
+            assert (nfmimo.forward._cached(scn) is not None) == cached
+            for name, sub in subsets.items():
+                assert_same_bits(outputs[name], outputs["full"][sub])
+            by_plan.append(outputs["full"])
+        assert_same_bits(*by_plan)
+        assert len(calls) == 2 * len(subsets)
+
+    @pytest.mark.parametrize("support", [1, 5, 16], ids=["one", "few", "cut"])
+    @pytest.mark.parametrize("pair", [(3, 2), (1, 2), (3, 1), (1, 1)], ids=["3x2", "1x2", "3x1", "1x1"])
+    @pytest.mark.parametrize("channels", ["full", "ragged"])
+    def test_matches_dense_oracle(self, pair, support, channels, monkeypatch):
+        # a 1-Tx or 1-Rx block is a matrix-vector product, and a 1 x 1 block a dot
+        scn = tiled(*pair)
+        assert scn.n_voxels // nfmimo.forward._TINY == 16
+        calls = block_path_calls(monkeypatch)
+        s = sparse_volume(scn.n_voxels, support, seed=support)
+        sub = np.arange(scn.n_channels) if channels == "full" else ragged_subset(scn)
+        ref = materialize_dense(scn)[sub] @ s
+        for cached in (False, True):
+            nfmimo.forward._slot = None
+            if cached:
+                nfmimo.forward._plan(scn)
+            y = forward_apply(s, scn, subset=sub)
+            assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert calls == [support, support]
+
+    @pytest.mark.parametrize("extra, block", [(0, True), (1, False)], ids=["cut", "cut+1"])
+    def test_either_side_of_the_cut(self, tiled_scenario, extra, block, monkeypatch):
+        scn = tiled_scenario
+        s = sparse_volume(scn.n_voxels, scn.n_voxels // nfmimo.forward._TINY + extra, seed=7)
+        calls = block_path_calls(monkeypatch)
+        sub = ragged_subset(scn)
+        columns, planned = forward_both_ways(s, scn)
+        assert_same_bits(columns, planned)
+        restricted = forward_both_ways(s, scn, subset=sub)
+        for got in restricted:
+            assert_same_bits(got, columns[sub])
+        assert len(calls) == (4 if block else 0)
+
+    @pytest.mark.parametrize("spec", ["bar", "cross"])
+    def test_simulate_builds_no_plan_on_paper_v(self, spec):
+        scn = preset_scenario("paper-v")
+        nfmimo.forward._slot = None
+        simulate_measurements(make_phantom(spec, scn.voxels), scn, 0.02, 1)
+        assert nfmimo.forward._slot is None
+
+
 # Prints the SHA-256 of each operator output as JSON. 41x41x11 = 18491 voxels
 # make the forward's length-N dots long enough for OpenBLAS to split them
-# across its threads. The sparse volume comes first, before a plan exists,
-# so it takes the support-column path.
+# across its threads. The sparse volume comes first, before a plan exists;
+# its 40 nonzero voxels are under N/256 = 72, so it takes the support-block
+# path, which has no length-N dot.
 _BLAS_CHILD = """
 import hashlib, json
 import numpy as np
@@ -678,11 +772,19 @@ class TestBlasThreadCount:
     def test_adjoint_has_the_same_bytes(self, digests_by_blas_threads, name):
         assert digests_by_blas_threads["1"][name] == digests_by_blas_threads["2"][name]
 
-    @pytest.mark.xfail(
-        strict=False,
-        reason="ROADMAP item 3: OpenBLAS splits the forward's length-N dots across its threads",
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "forward.sparse",
+            *(
+                pytest.param(name, marks=pytest.mark.xfail(
+                    strict=False,
+                    reason="ROADMAP item 3: OpenBLAS splits the forward's length-N dots across its threads",
+                ))
+                for name in ("forward.full", "forward.443")
+            ),
+        ],
     )
-    @pytest.mark.parametrize("name", ["forward.sparse", "forward.full", "forward.443"])
     def test_forward_has_the_same_bytes(self, digests_by_blas_threads, name):
         assert digests_by_blas_threads["1"][name] == digests_by_blas_threads["2"][name]
 

@@ -17,12 +17,15 @@ from nfmimo import (
     PlanTooLargeError,
     SPEED_OF_LIGHT,
     SingularityError,
+    SolverConfig,
     TabulatedPulse,
     Vec3,
     VoxelGrid,
     forward_apply,
+    lipschitz_estimate,
     make_spiral_array,
     matrix_element,
+    pgm_solve,
     preset_scenario,
     scenario_fingerprint,
     voxel_centers,
@@ -522,7 +525,10 @@ class TestImagingScenario:
                     c=c,
                 )
 
-    @pytest.mark.parametrize("z, refused", [(1e-160, True), (1e-150, False)])
+    # at 1e-150 m the amplitude is about 8e298 and its square is past the
+    # float range; at 1e-38 m the Lipschitz estimate's norm of A^H A x, the
+    # amplitude to the fourth power, is still finite
+    @pytest.mark.parametrize("z, refused", [(1e-160, True), (1e-150, True), (1e-38, False)])
     def test_voxel_near_a_transmitter_and_a_receiver(self, z, refused):
         # the receiver is 1e-300 m from the transmitter, and the voxel z above
         # both: no distance is 0, and at 1e-160 m 1/(4*pi*dT*dR) is past the
@@ -537,12 +543,20 @@ class TestImagingScenario:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no numpy overflow warning
             if refused:
-                distances = r"dT=9\.99994e-161 m and dR=9\.99994e-161 m"
-                named = rf"^the amplitude 1/\(4\*pi\*dT\*dR\) overflows at the nearest distances {distances}$"
+                amplitude, distances = {
+                    1e-160: (r"amplitude 1/\(4\*pi\*dT\*dR\)", r"dT=9\.99994e-161 m and dR=9\.99994e-161 m"),
+                    1e-150: (r"squared amplitude \(1/\(4\*pi\*dT\*dR\)\)\*\*2", r"dT=1e-150 m and dR=1e-150 m"),
+                }[z]
+                named = rf"^the {amplitude} overflows at the nearest distances {distances}$"
                 with pytest.raises(SingularityError, match=named):
                     build()
             else:
-                assert np.all(np.isfinite(forward_apply(np.ones(1), build())))
+                scn = build()
+                y = forward_apply(np.ones(1), scn)
+                assert np.all(np.isfinite(y))
+                eta = 1.0 / lipschitz_estimate(scn)
+                config = SolverConfig(eta=eta, alpha=0.0, max_iters=1, tol=1e-300)
+                assert np.all(np.isfinite(pgm_solve(y, scn, config).volume.values))
 
     def test_voxel_axes_past_memavailable_refused_before_allocation(self, monkeypatch):
         grid = VoxelGrid(center=Vec3(0, 0, 0.5), extent=(0.3, 0, 0), dims=(10**6, 1, 1))

@@ -757,10 +757,29 @@ class TestScenarioFuzz:
         scn = ImagingScenario(
             array=ArrayGeometry(transmitters=(Vec3(0, 0, 0),), receivers=(Vec3(1e-300, 0, 0),)),
             frequencies=FrequencyGrid(4e9, 4e9, 1),
-            voxels=VoxelGrid(center=Vec3(0, 0, 1e-100), extent=(0, 0, 0), dims=(1, 1, 1)),
+            voxels=VoxelGrid(center=Vec3(0, 0, 1e-38), extent=(0, 0, 0), dims=(1, 1, 1)),
         )
         path = _scenario_file(tmp_path, scn, ("voxels", "center", 2), 1e-160)
         named = r"^the amplitude 1/\(4\*pi\*dT\*dR\) overflows at the nearest distances dT="
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            with pytest.raises(SchemaError, match=named):
+                read_scenario(path)
+
+    def test_voxel_where_the_squared_amplitude_overflows_is_schema_error(self, tmp_path):
+        # a voxel 1e-150 m above both antennas: 1/(4*pi*dT*dR) is about 8e298,
+        # and the Lipschitz estimate's products of an entry with its conjugate
+        # would overflow
+        scn = ImagingScenario(
+            array=ArrayGeometry(transmitters=(Vec3(0, 0, 0),), receivers=(Vec3(1e-300, 0, 0),)),
+            frequencies=FrequencyGrid(4e9, 4e9, 1),
+            voxels=VoxelGrid(center=Vec3(0, 0, 1e-38), extent=(0, 0, 0), dims=(1, 1, 1)),
+        )
+        path = _scenario_file(tmp_path, scn, ("voxels", "center", 2), 1e-150)
+        named = (
+            r"^the squared amplitude \(1/\(4\*pi\*dT\*dR\)\)\*\*2 overflows at the nearest "
+            r"distances dT=1e-150 m and dR=1e-150 m$"
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no numpy overflow warning
             with pytest.raises(SchemaError, match=named):
