@@ -20,7 +20,7 @@ One builder makes the tables over a set of flat voxel indices, with each
 distance from the antenna's squared offsets along the grid's three axes. The
 tables of every voxel (the plan, 16*F*(T+R)*N bytes) are built by the first
 adjoint on a scenario, by a solve before its clock starts, and by a forward
-of a volume with more than N/16 nonzero voxels. The plan is cached in one
+of a volume with more than N/256 nonzero voxels. The plan is cached in one
 slot, a (scenario, plan) pair that a lookup matches by identity first and by
 equality next: a plan for another scenario empties the slot first, so a
 process never holds two. A plan larger than the memory the OS reports
@@ -35,8 +35,7 @@ The forward takes one of three paths, by the volume's nonzero count alone:
   nor on the plan, nor on the BLAS thread count.
 - At most N/16 (the solver's iterates, mostly): per transmitter, the row
   w = u_t * s is formed on the support only and stays zero elsewhere; one
-  length-N dot of w with each receiver row v_r gives a channel. With no plan
-  cached the support's columns are built and zero-padded to length N.
+  length-N dot of w with each receiver row v_r gives a channel.
 - Denser: the same dots, with w multiplied over the whole row of the plan.
 
 The dots are the same on the last two paths, and so are the bits of the
@@ -367,17 +366,18 @@ def _rows(sel: np.ndarray):
 
 
 # A volume with at most N/_SPARSE nonzero voxels is sparse: it is multiplied
-# into the rows on its support only, and with no plan cached it builds its
-# support's table columns only. Past it, gathering and scattering the support
-# costs more than a whole-row product: a (4,4,3) forward on `paper-v` took
-# 4.6 ms against 6.0 ms whole-row at 6.25% random nonzeros, and 6.0 against
-# 5.5 ms at 7%.
+# into the plan's rows on its support only. Past it, gathering and scattering
+# the support costs more than a whole-row product: a (4,4,3) forward on
+# `paper-v` took 4.6 ms against 6.0 ms whole-row at 6.25% random nonzeros,
+# and 6.0 against 5.5 ms at 7%.
 _SPARSE = 16
 # A volume with at most N/_TINY nonzero voxels (a simulated point phantom;
 # the solves' iterates on `paper-v` hold hundreds) is forwarded by one T x R
-# product per frequency over its support's columns, with no length-N dot: a
-# `points:5` forward on `paper-v` with no plan cached took 1.2-1.3 ms against
-# 28-37 ms by the support-column dots.
+# product per frequency over its support's columns, with no length-N dot and
+# no plan: a `points:5` forward on `paper-v` with no plan cached took
+# 1.2-1.3 ms against 28-37 ms by length-N dots over its support's columns.
+# Every denser volume is forwarded on the plan, and builds it if none is
+# cached.
 _TINY = 256
 
 
@@ -388,17 +388,7 @@ def _forward_values(values: np.ndarray, scenario: ImagingScenario, idx: np.ndarr
     if _TINY * count <= n:
         return _forward_block(values, scenario, idx, np.flatnonzero(nonzero))
     support = np.flatnonzero(nonzero) if _SPARSE * count <= n else None
-    # With no plan cached, a sparse volume builds its support's columns only;
-    # each receiver's are padded into one zero row in turn, since holding all
-    # F*(T+R) or T+R padded rows would take tens of MB that the heap keeps
-    # resident after they are freed.
-    pad = support is not None and _cached(scenario) is None
-    if pad:
-        tabs = _build(scenario, support)
-        cols = slice(None)
-    else:
-        tabs = _plan(scenario)
-        cols = support
+    plan = _plan(scenario)
     on_support = None if support is None else values[support]
     out = np.empty(idx.size, dtype=np.complex128)
 
@@ -408,19 +398,16 @@ def _forward_values(values: np.ndarray, scenario: ImagingScenario, idx: np.ndarr
     # keeps its length N, and a signed zero added to a partial sum leaves it
     # as it was (a zero sum is +0 either way), so both give the same bits.
     w = (np.empty if support is None else np.zeros)(n, dtype=np.complex128)
-    rx = np.zeros(n, dtype=np.complex128) if pad else None
     for f, pos, ts, tpos, rs, rpos in _by_frequency(idx, scenario):
-        p = tabs.pulse_vals[f]
+        p = plan.pulse_vals[f]
         for j, t in enumerate(ts):
             if support is None:
-                np.multiply(tabs.tx_tab[f, t], values, out=w)
+                np.multiply(plan.tx_tab[f, t], values, out=w)
             else:
-                w[support] = tabs.tx_tab[f, t, cols] * on_support
+                w[support] = plan.tx_tab[f, t, support] * on_support
             mine = tpos == j
             for r, k in zip(rs[rpos[mine]], pos[mine]):
-                if pad:
-                    rx[support] = tabs.rx_tab[f, r]
-                out[k] = p * np.dot(w, rx if pad else tabs.rx_tab[f, r])
+                out[k] = p * np.dot(w, plan.rx_tab[f, r])
     return out
 
 

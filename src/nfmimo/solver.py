@@ -371,7 +371,14 @@ def lipschitz_estimate(
     for _ in range(_count("n_iters", n_iters)):
         z = adjoint_apply(forward_apply(x, scenario), scenario) / m
         lam_new = float(np.real(np.vdot(x, z)))
-        nz = np.linalg.norm(z)
+        # the entries of z are squared amplitudes, and the norm squares them
+        # again: past the float range, take it from entries scaled by the
+        # largest, which leaves every finite norm's bits as they were
+        with np.errstate(over="ignore"):
+            nz = np.linalg.norm(z)
+        if not np.isfinite(nz):
+            peak = np.max(np.abs(z))
+            nz = peak * np.linalg.norm(z / peak)
         if nz == 0.0:
             return 0.0
         x = z / nz

@@ -167,6 +167,31 @@ class TestSimulate:
         assert exit_code == 0
         assert peak_kib < 150 * 1024
 
+    def test_a_phantom_past_the_cut_needs_the_plan(self, tmp_path, monkeypatch, capsys):
+        # 16x16x2 = 512 voxels, so N/256 = 2: points:2 is forwarded with no
+        # plan, points:3 builds it as reconstruct would
+        scn_path = tmp_path / "scn.json"
+        assert main(
+            ["scenario-init", "--custom", "--tx", "3", "--rx", "3", "--radius", "0.15",
+             "--f-start", "4e9", "--f-stop", "16e9", "--f-count", "3", "--center", "0,0,0.25",
+             "--extent", "0.1,0.1,0.02", "--dims", "16,16,2", "--out", str(scn_path)]
+        ) == 0
+        nfmimo.forward._slot = None
+        # room for the 8192-byte phantom, not for the plan's
+        # 16 x 3 frequencies x (1 + 6 antennas x 512 voxels) = 147504 bytes
+        monkeypatch.setattr(nfmimo.geometry, "_available_bytes", lambda: 10**5)
+        capsys.readouterr()
+        out = tmp_path / "m.nfms"
+        argv = ["simulate", "--scenario", str(scn_path), "--out", str(out), "--phantom"]
+        assert main(argv + ["points:3"]) == 1
+        repro, error = capsys.readouterr().err.splitlines()
+        assert error == (
+            "error: the operator plan needs 0.000148 GB, but only 0.0001 GB of memory is available"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json"]
+        assert main(argv + ["points:2"]) == 0
+        assert out.exists() and nfmimo.forward._slot is None
+
     def test_point_phantom_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # OpenBLAS reads its thread count once, at import, so each count
         # needs a fresh process

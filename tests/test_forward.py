@@ -280,11 +280,12 @@ def test_threads_has_no_effect(case):
     scn = sparse_scenario()
     rng = np.random.default_rng(5)
     dense, sparse = random_complex(rng, scn.n_voxels), sparse_volume(scn.n_voxels, 16)
+    point = sparse_volume(scn.n_voxels, 1)  # N/256 = 1 here: the no-plan forward takes one voxel
     r, sub = random_complex(rng, scn.n_channels), ragged_subset(scn)
     apply = {
         "forward-dense": lambda **kw: forward_apply(dense, scn, **kw),
         "forward-sparse": lambda **kw: forward_apply(sparse, scn, **kw),
-        "forward-sparse-no-plan": lambda **kw: forward_apply(sparse, scn, **kw),
+        "forward-sparse-no-plan": lambda **kw: forward_apply(point, scn, **kw),
         "adjoint-full": lambda **kw: adjoint_apply(r, scn, **kw),
         "adjoint-subset": lambda **kw: adjoint_apply(r[: sub.size], scn, subset=sub, **kw),
     }[case]
@@ -489,62 +490,19 @@ def ragged_subset(scn: ImagingScenario) -> np.ndarray:
 
 
 def forward_both_ways(s, scn, subset=None):
-    """(support-column output with no plan cached, output on the cached plan)."""
+    """(output with no plan cached, whether that call cached the plan,
+    output on the cached plan)."""
     nfmimo.forward._slot = None
-    columns = forward_apply(s, scn, subset=subset)
-    assert nfmimo.forward._slot is None  # the support columns were enough
+    unplanned = forward_apply(s, scn, subset=subset)
+    built = nfmimo.forward._slot is not None
     nfmimo.forward._plan(scn)
-    return columns, forward_apply(s, scn, subset=subset)
+    return unplanned, built, forward_apply(s, scn, subset=subset)
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray):
     # the raw words: +0.0 and -0.0 differ here, as they do not for array_equal on floats
     assert a.shape == b.shape
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-class TestSupportColumns:
-    """Before a plan is cached, a forward of a volume with at most N/_SPARSE
-    nonzero voxels builds its support's table columns only, with the plan's
-    bits."""
-
-    @pytest.mark.parametrize("support", [0, 1, 5, 16], ids=["zero", "one", "few", "cut"])
-    @pytest.mark.parametrize("ragged", [False, True], ids=["all", "ragged"])
-    def test_same_bits_as_the_plan(self, support, ragged):
-        scn = sparse_scenario()
-        assert nfmimo.forward._SPARSE * support <= scn.n_voxels
-        s = sparse_volume(scn.n_voxels, support)
-        columns, planned = forward_both_ways(s, scn, ragged_subset(scn) if ragged else None)
-        assert_same_bits(columns, planned)
-
-    @pytest.mark.parametrize("ragged", [False, True], ids=["all", "ragged"])
-    def test_same_bits_as_the_plan_on_paper_v(self, ragged):
-        scn = preset_scenario("paper-v")
-        s = make_phantom("points:5", scn.voxels, rng_seed=42)
-        columns, planned = forward_both_ways(s, scn, ragged_subset(scn) if ragged else None)
-        assert_same_bits(columns, planned)
-
-    def test_subset_is_a_slice(self):
-        scn = sparse_scenario()
-        s = sparse_volume(scn.n_voxels, 5, seed=1)
-        sub = ragged_subset(scn)
-        nfmimo.forward._slot = None
-        restricted = forward_apply(s, scn, subset=sub)
-        full = forward_apply(s, scn)
-        assert nfmimo.forward._slot is None
-        assert_same_bits(restricted, full[sub])
-
-    def test_a_denser_volume_builds_the_plan(self):
-        scn = sparse_scenario()
-        nfmimo.forward._slot = None
-        forward_apply(sparse_volume(scn.n_voxels, 17), scn)
-        assert nfmimo.forward._slot[0] is scn
-
-    def test_simulate_builds_no_plan(self):
-        scn = sparse_scenario(array_seed=7)
-        nfmimo.forward._slot = None
-        simulate_measurements(make_phantom("points:3", scn.voxels, rng_seed=1), scn, 0.1, 2)
-        assert nfmimo.forward._slot is None
 
 
 def whole_row_forward(s, scenario, subset=None):
@@ -702,14 +660,17 @@ class TestSupportBlock:
         s = sparse_volume(scn.n_voxels, scn.n_voxels // nfmimo.forward._TINY + extra, seed=7)
         calls = block_path_calls(monkeypatch)
         sub = ragged_subset(scn)
-        columns, planned = forward_both_ways(s, scn)
-        assert_same_bits(columns, planned)
-        restricted = forward_both_ways(s, scn, subset=sub)
-        for got in restricted:
-            assert_same_bits(got, columns[sub])
+        # the block path builds no plan; every denser volume builds it
+        unplanned, built, planned = forward_both_ways(s, scn)
+        assert built != block
+        assert_same_bits(unplanned, planned)
+        unplanned_sub, built, planned_sub = forward_both_ways(s, scn, subset=sub)
+        assert built != block
+        for got in (unplanned_sub, planned_sub):
+            assert_same_bits(got, unplanned[sub])
         assert len(calls) == (4 if block else 0)
 
-    @pytest.mark.parametrize("spec", ["bar", "cross"])
+    @pytest.mark.parametrize("spec", ["points:5", "bar", "cross"])
     def test_simulate_builds_no_plan_on_paper_v(self, spec):
         scn = preset_scenario("paper-v")
         nfmimo.forward._slot = None

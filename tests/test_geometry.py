@@ -527,8 +527,11 @@ class TestImagingScenario:
 
     # at 1e-150 m the amplitude is about 8e298 and its square is past the
     # float range; at 1e-38 m the Lipschitz estimate's norm of A^H A x, the
-    # amplitude to the fourth power, is still finite
-    @pytest.mark.parametrize("z, refused", [(1e-160, True), (1e-150, True), (1e-38, False)])
+    # amplitude to the fourth power, is still finite, and at 1e-40 and
+    # 1e-70 m it is past the float range
+    @pytest.mark.parametrize(
+        "z, refused", [(1e-160, True), (1e-150, True), (1e-38, False), (1e-40, False), (1e-70, False)]
+    )
     def test_voxel_near_a_transmitter_and_a_receiver(self, z, refused):
         # the receiver is 1e-300 m from the transmitter, and the voxel z above
         # both: no distance is 0, and at 1e-160 m 1/(4*pi*dT*dR) is past the
@@ -554,7 +557,10 @@ class TestImagingScenario:
                 scn = build()
                 y = forward_apply(np.ones(1), scn)
                 assert np.all(np.isfinite(y))
-                eta = 1.0 / lipschitz_estimate(scn)
+                lipschitz = lipschitz_estimate(scn)
+                # one voxel: the largest eigenvalue of A^H A / M is |A|^2 / M
+                assert lipschitz == pytest.approx(abs(matrix_element(0, 0, scn)) ** 2 / scn.n_channels, rel=1e-12)
+                eta = 1.0 / lipschitz
                 config = SolverConfig(eta=eta, alpha=0.0, max_iters=1, tol=1e-300)
                 assert np.all(np.isfinite(pgm_solve(y, scn, config).volume.values))
 
